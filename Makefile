@@ -32,8 +32,9 @@ BENCH_COMPARE_FLAGS ?=
 # wire-to-wire merge path, and the cluster deadline-receive loop. All feed
 # one benchjson document; the committed BENCH_ceilings.json pins absolute
 # allocs/op ceilings for the machine-independent rows (0 for DecodeInto and
-# the exact-path MergeInto, 2 for RecvTimeout), because a 0 -> 1 allocation
-# regression is invisible to percentage thresholds.
+# the serial SketchML and Raw MergeInto rows, 50 for the two-worker _par2
+# merge rows, 17 for Encode, 2 for RecvTimeout), because a 0 -> 1
+# allocation regression is invisible to percentage thresholds.
 BENCH_PKGS     ?= ./internal/codec ./internal/cluster
 BENCH_PATTERN  ?= 'BenchmarkEncodeDecode|BenchmarkMerge|BenchmarkRecvTimeoutSteadyState'
 BENCH_CEILINGS ?= BENCH_ceilings.json

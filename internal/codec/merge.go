@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"sketchml/internal/bitpack"
 	"sketchml/internal/gradient"
-	"sketchml/internal/quantizer"
 )
 
 // Merger is implemented by codecs whose encoded messages can be combined
@@ -34,13 +32,13 @@ type Merger interface {
 
 // mergeScratch holds the pooled working state for one merge: the two
 // structurally decoded inputs and the key/value union. Pooled so warm
-// MergeInto calls allocate nothing (the exact-means path; re-quantizing
-// builds a fresh sketch, like Encode does).
+// MergeInto calls allocate nothing, unless a pane re-quantizes through a
+// GK or KLL sketch (which builds a fresh one, like Encode does). The sign
+// panes' scratch comes from the panes free list, as in Encode.
 type mergeScratch struct {
 	ga, gb gradient.Sparse
 	keys   []uint64
 	vals   []float64
-	dist   []float64 // sorted-distinct means working buffer
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
@@ -110,12 +108,11 @@ func (c *SketchML) Merge(a, b []byte) ([]byte, error) {
 //     budget (Encode's rule: min(Options.Buckets, len/16), at least 2) the
 //     means table is exactly those sorted values — lossless, and bitwise
 //     associative because every value survives verbatim. Past that cap the
-//     pane is re-quantized through the configured quantile sketch, which
-//     re-buckets values (rank-error bounded, like Encode) and therefore
-//     only commutes, not associates, on wire bytes. Tying the cap to the
-//     quantile budget keeps a merged message the same size as an encoded
-//     one — the point of merging — instead of carrying an 8-byte mean per
-//     distinct sum.
+//     pane is re-quantized with the configured split finder, which
+//     re-buckets values (like Encode) and therefore only commutes, not
+//     associates, on wire bytes. Tying the cap to the quantile budget
+//     keeps a merged message the same size as an encoded one — the point
+//     of merging — instead of carrying an 8-byte mean per distinct sum.
 //   - Otherwise the output is the quantize-off raw-float64 layout.
 //
 // The MinMax flag is always clear on output: MinMaxSketch panes hash with
@@ -178,34 +175,11 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 
 	out = appendU32(out, uint32(c.opts.Buckets))
 	// Partition into sign panes exactly like encode: positive pane first,
-	// negative magnitudes second, both in ascending key order over shared
-	// pooled backing.
-	n := len(ms.vals)
-	npos := 0
-	for _, v := range ms.vals {
-		if v >= 0 {
-			npos++
-		}
-	}
-	kbuf, vbuf := getU64(n), getF64(n)
-	posKeys, negKeys := (*kbuf)[0:0:npos], (*kbuf)[npos:npos]
-	posVals, negMags := (*vbuf)[0:0:npos], (*vbuf)[npos:npos]
-	for i, v := range ms.vals {
-		if v >= 0 {
-			posKeys = append(posKeys, ms.keys[i])
-			posVals = append(posVals, v)
-		} else {
-			negKeys = append(negKeys, ms.keys[i])
-			negMags = append(negMags, -v)
-		}
-	}
-	defer putU64(kbuf)
-	defer putF64(vbuf)
-
-	paneKeys := [2][]uint64{posKeys, negKeys}
-	paneVals := [2][]float64{posVals, negMags}
-	for p := 0; p < 2; p++ {
-		out, err = c.mergePane(out, ms, paneKeys[p], paneVals[p], wide)
+	// negative magnitudes second, both in ascending key order.
+	ps := panes.split(ms.keys, ms.vals)
+	defer panes.put(&ps)
+	for p := range ps {
+		out, err = c.mergePane(out, &ps[p], wide)
 		if err != nil {
 			return nil, err
 		}
@@ -214,56 +188,36 @@ func (c *SketchML) MergeInto(dst []byte, a, b []byte) ([]byte, error) {
 }
 
 // mergePane emits one sign pane of a merged message using the explicit
-// index layout (MinMax off). vals are magnitudes for the negative pane.
+// index layout (MinMax off).
 //
 //sketchlint:hotpath
-func (c *SketchML) mergePane(out []byte, ms *mergeScratch, keys []uint64, vals []float64, wide bool) ([]byte, error) {
+func (c *SketchML) mergePane(out []byte, ps *paneScratch, wide bool) ([]byte, error) {
+	keys := ps.keys
 	out = appendU32(out, uint32(len(keys)))
 	if len(keys) == 0 {
 		return out, nil
 	}
-	// Sorted-distinct candidate means table. Dropping exact-zero sums in
-	// mergeSum guarantees every entry is strictly positive here (negative
-	// pane values arrive as magnitudes), so no ±0 ordering ambiguity.
-	dist := append(ms.dist[:0], vals...)
-	sort.Float64s(dist)
-	d := dist[:1]
-	for _, v := range dist[1:] {
-		if v != d[len(d)-1] { //lint:allow float-equality exact dedup of identical sums; near-equal values must stay distinct means
-			d = append(d, v)
-		}
-	}
-	ms.dist = dist
-
 	// The pane's quantile budget, by Encode's rule. It doubles as the
 	// exact-means ceiling so a merged pane never spends more header bytes
 	// on means than an encoded pane would.
-	qEff := c.opts.Buckets
-	if cap := len(keys) / 16; cap < qEff {
-		qEff = cap
-	}
-	if qEff < 2 {
-		qEff = 2
-	}
+	qEff := c.paneBuckets(len(keys))
 	exactCap := qEff
 	if mergeMeansCapOverride > 0 {
 		exactCap = mergeMeansCapOverride
 	}
 
-	var means []float64
-	var z *quantizer.Quantile
-	if len(d) <= exactCap {
-		means = d // lossless: every summed value survives verbatim
-	} else {
-		// Too many distinct values to carry exactly: re-bucket through the
-		// same quantile construction Encode uses.
+	// One sort serves both outcomes: the sorted-distinct sums become the
+	// means table when they fit, and otherwise the same sort re-buckets the
+	// pane exactly like Encode.
+	ps.sort.Sort(ps.vals)
+	means, idx, exact := ps.sort.DistinctMeans(exactCap)
+	if !exact {
 		var err error
-		//lint:allow hotpath-alloc re-quantizing builds a fresh sketch exactly like Encode; the zero-allocation merge path is the exact-means branch above
-		z, err = quantizer.BuildQuantileAlgo(vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed))
+		//lint:allow hotpath-alloc re-quantizing through a GK or KLL sketch builds a fresh sketch exactly like Encode; the default exact split finder reuses the pane's buffers
+		means, idx, err = ps.sort.Quantize(qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed))
 		if err != nil {
 			return nil, err
 		}
-		means = z.Means()
 	}
 	out = appendU32(out, uint32(len(means)))
 	for _, m := range means {
@@ -274,18 +228,7 @@ func (c *SketchML) mergePane(out []byte, ms *mergeScratch, keys []uint64, vals [
 	if err != nil {
 		return nil, err
 	}
-	idxBuf := getU32(len(keys))
-	idx := *idxBuf
-	for i, v := range vals {
-		if z != nil {
-			idx[i] = uint32(z.Bucket(v))
-		} else {
-			idx[i] = uint32(sort.SearchFloat64s(means, v))
-		}
-	}
-	out = bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means)))
-	putU32(idxBuf)
-	return out, nil
+	return bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means))), nil
 }
 
 // Merge implements Merger.

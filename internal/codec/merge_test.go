@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sketchml/internal/gradient"
+	"sketchml/internal/quantizer"
 )
 
 // Property suite for the wire-to-wire Merger contract. The reference for
@@ -291,17 +292,27 @@ func TestMergeAssociativeOnExactPath(t *testing.T) {
 
 // TestMergeIntoZeroAllocWarm mirrors the DecodeInto allocation contract:
 // once the pooled scratch and the destination have warmed, an exact-path
-// MergeInto performs zero allocations. (The re-quantize path builds a fresh
-// sketch, exactly like Encode, and is exempt — only the exact path is the
-// steady-state interior-node hot loop.) Skipped under -race: the
-// detector's instrumentation allocates; the BenchmarkMerge ceiling in
-// BENCH_ceilings.json pins the same contract in `make bench-check`.
+// MergeInto performs zero allocations. Skipped under -race: the
+// detector's instrumentation allocates; the BenchmarkMerge ceilings in
+// BENCH_ceilings.json pin the same contract in `make bench-check`.
 func TestMergeIntoZeroAllocWarm(t *testing.T) {
+	mergeMeansCapOverride = 1 << 20
+	defer func() { mergeMeansCapOverride = 0 }()
+	testMergeIntoZeroAllocWarm(t)
+}
+
+// TestMergeIntoRequantZeroAllocWarm: with the default exact split finder
+// the re-quantize path is allocation-free warm too, because it re-buckets
+// from the same pooled pane sort. (GK and KLL build a fresh sketch,
+// exactly like Encode, and are exempt.)
+func TestMergeIntoRequantZeroAllocWarm(t *testing.T) {
+	testMergeIntoZeroAllocWarm(t)
+}
+
+func testMergeIntoZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	mergeMeansCapOverride = 1 << 20
-	defer func() { mergeMeansCapOverride = 0 }()
 	rng := rand.New(rand.NewSource(29))
 	opts := DefaultOptions()
 	opts.MinMax = false
@@ -456,13 +467,19 @@ func mergeGoldenVectors() []mergeGoldenVec {
 		}
 		return o
 	}
-	quan := mk(nil)
+	// The fixtures recorded under the GK default pin it explicitly.
+	quan := mk(func(o *Options) { o.Algo = quantizer.GKAlgo })
 	keyOnly := mk(func(o *Options) { o.Quantize = false })
+	exact := mk(nil)
 	return []mergeGoldenVec{
 		// Re-quantize path: two default-sized panes overflow the exact cap.
 		{name: "merge_keyquan", opts: quan,
 			a: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2001},
 			b: goldenVec{opts: quan, dim: 100000, nnz: 1200, seed: 2002}},
+		// The same merge re-quantized by the default exact split finder.
+		{name: "merge_requant_exact", opts: exact,
+			a: goldenVec{opts: exact, dim: 100000, nnz: 1200, seed: 2001},
+			b: goldenVec{opts: exact, dim: 100000, nnz: 1200, seed: 2002}},
 		// Exact-means path: tiny panes keep every summed value verbatim.
 		{name: "merge_exact_tiny", opts: quan,
 			a: goldenVec{opts: quan, dim: 4096, nnz: 30, seed: 2003},

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sketchml/internal/quantizer"
 	"sketchml/internal/sketch/minmax"
 )
 
@@ -18,8 +19,9 @@ import (
 //   - forEach is a bounded worker pool over an index space. Every output is
 //     written to a pre-owned position and errors are selected by lowest
 //     index, so results are deterministic regardless of scheduling.
-//   - The sync.Pool families recycle the per-message scratch (pane output
-//     buffers, sign-partition slices, bucket-index arrays) that used to be
+//   - The panes free list recycles each sign pane's working state
+//     (partitioned entries, sort and bucket-index buffers), and sync.Pools
+//     recycle the pane output buffers and decode scratch that used to be
 //     reallocated on every Encode/Decode call.
 //
 // Wire bytes are bit-identical at every parallelism level: panes are
@@ -97,18 +99,13 @@ func forEach(par, n int, fn func(i int) error) error {
 
 // ---- scratch pools ----
 //
-// Pools hold pointers to slices (not slices) so Put does not allocate a
-// fresh interface box per cycle. getX returns a slice with the requested
-// length; the caller must putX it back when the data is dead. Pooled memory
-// is never handed to the caller of Encode/Decode — decoded gradients and
-// encoded messages own their backing arrays outright.
+// The byte pool holds pointers to slices (not slices) so Put does not
+// allocate a fresh interface box per cycle. getBytes returns an empty
+// buffer; the caller must putBytes it back when the data is dead. Pooled
+// memory is never handed to the caller of Encode/Decode — decoded
+// gradients and encoded messages own their backing arrays outright.
 
-var (
-	bytePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-	u64Pool  = sync.Pool{New: func() any { b := make([]uint64, 0, 1024); return &b }}
-	f64Pool  = sync.Pool{New: func() any { b := make([]float64, 0, 1024); return &b }}
-	u32Pool  = sync.Pool{New: func() any { b := make([]uint32, 0, 1024); return &b }}
-)
+var bytePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 func getBytes() *[]byte {
 	b := bytePool.Get().(*[]byte)
@@ -118,38 +115,65 @@ func getBytes() *[]byte {
 
 func putBytes(b *[]byte) { bytePool.Put(b) }
 
-func getU64(n int) *[]uint64 {
-	b := u64Pool.Get().(*[]uint64)
-	if cap(*b) < n {
-		*b = make([]uint64, n)
-	}
-	*b = (*b)[:n]
-	return b
+// ---- pane scratch ----
+
+// paneScratch is the working state of one sign pane in an encode or a
+// merge: the pane's entries, the sorter that quantizes them, and the
+// MinMax layout's key-routing buffer.
+type paneScratch struct {
+	keys []uint64
+	vals []float64 // magnitudes on the negative pane
+	flat []uint64  // keys scattered into per-group runs
+	sort quantizer.Pane
 }
 
-func putU64(b *[]uint64) { u64Pool.Put(b) }
-
-func getF64(n int) *[]float64 {
-	b := f64Pool.Get().(*[]float64)
-	if cap(*b) < n {
-		*b = make([]float64, n)
-	}
-	*b = (*b)[:n]
-	return b
+// paneCache is a free list of pane scratch, the largest working state an
+// encode or merge holds (about 60 bytes per value). A sync.Pool would drop
+// it: the pool empties at every GC, and an entry parked in one P's private
+// slot is invisible to a goroutine that has moved to another P, so at
+// GOMAXPROCS > 1 an allocating encode would keep regrowing its buffers.
+// The free list survives both. It is shared by every codec in the process,
+// so it holds one pair per encode or merge that was ever in flight at once,
+// not one per codec. Pairs are stored by value, so a miss is a zero pair
+// whose buffers grow on first use.
+type paneCache struct {
+	mu   sync.Mutex
+	free [][2]paneScratch
 }
 
-func putF64(b *[]float64) { f64Pool.Put(b) }
-
-func getU32(n int) *[]uint32 {
-	b := u32Pool.Get().(*[]uint32)
-	if cap(*b) < n {
-		*b = make([]uint32, n)
+// split takes a pair of pane scratches and partitions the entries into
+// them in ascending key order: pane 0 gets the non-negative values, pane
+// 1 the magnitudes of the negative ones. Hand the pair back with put.
+func (pc *paneCache) split(keys []uint64, vals []float64) (ps [2]paneScratch) {
+	pc.mu.Lock()
+	if n := len(pc.free); n > 0 {
+		ps = pc.free[n-1]
+		pc.free[n-1] = [2]paneScratch{}
+		pc.free = pc.free[:n-1]
 	}
-	*b = (*b)[:n]
-	return b
+	pc.mu.Unlock()
+	pos, neg := &ps[0], &ps[1]
+	pos.keys, pos.vals = pos.keys[:0], pos.vals[:0]
+	neg.keys, neg.vals = neg.keys[:0], neg.vals[:0]
+	for i, v := range vals {
+		if v >= 0 {
+			pos.keys = append(pos.keys, keys[i])
+			pos.vals = append(pos.vals, v)
+		} else {
+			neg.keys = append(neg.keys, keys[i])
+			neg.vals = append(neg.vals, -v)
+		}
+	}
+	return ps
 }
 
-func putU32(b *[]uint32) { u32Pool.Put(b) }
+func (pc *paneCache) put(ps *[2]paneScratch) {
+	pc.mu.Lock()
+	pc.free = append(pc.free, *ps)
+	pc.mu.Unlock()
+}
+
+var panes paneCache
 
 // ---- decode scratch ----
 

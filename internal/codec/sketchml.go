@@ -45,9 +45,13 @@ type Options struct {
 	// (GOMAXPROCS); 1 pins the serial path. The encoded bytes are
 	// bit-identical at every setting — parallelism only changes wall time.
 	Parallelism int
-	// Algo selects the quantile sketch implementation: GK (default) or
-	// KLL, the algorithm behind the DataSketches library the paper used.
-	// The choice never affects the wire format — only split quality.
+	// Algo selects how each pane's quantile splits are found. ExactAlgo
+	// (the default) reads exact order statistics off the one sort that
+	// also assigns every bucket index. GKAlgo and KLLAlgo (the algorithm
+	// behind the DataSketches library the paper used) run the paper's
+	// streaming sketch of SketchSize entries instead; they share the same
+	// sort-based index assignment. The choice never affects the wire
+	// format — only split quality and encode cost.
 	Algo quantizer.SketchAlgo
 	// Metrics, when non-nil, receives the codec's observability stream:
 	// encode/decode counts and latencies, input floats vs. wire bytes, and
@@ -74,6 +78,7 @@ func DefaultOptions() Options {
 		MinCols:      8,
 		Groups:       8,
 		Seed:         0x5ee7c4b1d2a90f38,
+		Algo:         quantizer.ExactAlgo,
 		DeltaKeys:    true,
 		Quantize:     true,
 		MinMax:       true,
@@ -163,6 +168,7 @@ func (c *SketchML) Encode(g *gradient.Sparse) ([]byte, error) {
 	if m != nil {
 		t0 = time.Now()
 	}
+	//lint:allow hotpath-alloc Encode's contract is a fresh caller-owned message, and each MinMax pane builds a per-message grouped sketch; BENCH_ceilings.json pins the total allocs/op
 	out, _, err := c.encode(g)
 	if m != nil && err == nil {
 		m.encodeNs.Since(t0)
@@ -235,33 +241,9 @@ func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
 	out = appendU32(out, uint32(c.opts.Buckets))
 	bd.Header += 4
 
-	// Partition into sign panes, preserving ascending key order. Both panes
-	// share one pooled backing array each for keys and magnitudes: the
-	// positive pane fills [0, npos), the negative pane [npos, n).
-	n := len(g.Values)
-	npos := 0
-	for _, v := range g.Values {
-		if v >= 0 {
-			npos++
-		}
-	}
-	kbuf, vbuf := getU64(n), getF64(n)
-	posKeys, negKeys := (*kbuf)[0:0:npos], (*kbuf)[npos:npos]
-	posVals, negMags := (*vbuf)[0:0:npos], (*vbuf)[npos:npos]
-	for i, v := range g.Values {
-		if v >= 0 {
-			posKeys = append(posKeys, g.Keys[i])
-			posVals = append(posVals, v)
-		} else {
-			negKeys = append(negKeys, g.Keys[i])
-			negMags = append(negMags, -v)
-		}
-	}
-	defer putU64(kbuf)
-	defer putF64(vbuf)
-
-	paneKeys := [2][]uint64{posKeys, negKeys}
-	paneVals := [2][]float64{posVals, negMags}
+	// Partition into sign panes, preserving ascending key order.
+	ps := panes.split(g.Keys, g.Values)
+	defer panes.put(&ps)
 	if par := c.parallelism(); par > 1 {
 		// Panes are independent; encode them concurrently into pooled
 		// buffers and splice in paneID order for bit-identical output.
@@ -272,6 +254,10 @@ func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
 		}
 		defer putBytes(bufs[0])
 		defer putBytes(bufs[1])
+		// The fan-out closure escapes to the worker goroutines, so it gets
+		// its own copy of the pane pair (heap-allocated on this path only)
+		// and hands the grown buffers back for the deferred put.
+		fan := ps
 		err := forEach(par, 2, func(i int) error {
 			var pt0 time.Time
 			if c.met != nil {
@@ -279,12 +265,13 @@ func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
 			}
 			var perr error
 			*bufs[i], perr = c.encodePane((*bufs[i])[:0], &bds[i], msgSeed, g.Dim,
-				paneKeys[i], paneVals[i], uint64(i), wide)
+				&fan[i], uint64(i), wide)
 			if c.met != nil && perr == nil {
 				c.met.paneEncodeNs.Since(pt0)
 			}
 			return perr
 		})
+		ps = fan
 		if err != nil {
 			return nil, bd, err
 		}
@@ -303,7 +290,7 @@ func (c *SketchML) encode(g *gradient.Sparse) ([]byte, Breakdown, error) {
 		if c.met != nil {
 			pt0 = time.Now()
 		}
-		out, err = c.encodePane(out, &bd, msgSeed, g.Dim, paneKeys[i], paneVals[i], uint64(i), wide)
+		out, err = c.encodePane(out, &bd, msgSeed, g.Dim, &ps[i], uint64(i), wide)
 		if err != nil {
 			return nil, bd, err
 		}
@@ -329,30 +316,32 @@ func contentFingerprint(g *gradient.Sparse) uint64 {
 	return h
 }
 
-// encodePane serializes one sign pane. vals are magnitudes for the negative
-// pane. paneID feeds the hash seed derivation.
-func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uint64, keys []uint64, vals []float64, paneID uint64, wide bool) ([]byte, error) {
+// paneBuckets is the quantile budget of a pane of n values. The q-entry
+// means table costs 8q bytes per pane, which only amortizes when d >> q
+// (the paper's regime). For small gradients, q is capped at d/16 so the
+// table stays a small fraction of the message.
+func (c *SketchML) paneBuckets(n int) int {
+	return max(min(c.opts.Buckets, n/16), 2)
+}
+
+// encodePane serializes one sign pane. paneID feeds the hash seed
+// derivation.
+func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uint64, ps *paneScratch, paneID uint64, wide bool) ([]byte, error) {
+	keys := ps.keys
 	out = appendU32(out, uint32(len(keys)))
 	bd.Header += 4
 	if len(keys) == 0 {
 		return out, nil
 	}
-	// Adapt the bucket count to the pane size: the q-entry means table costs
-	// 8q bytes per pane, which only amortizes when d >> q (the paper's
-	// regime). For small gradients, cap q at d/16 so the table stays a small
-	// fraction of the message.
-	qEff := c.opts.Buckets
-	if cap := len(keys) / 16; cap < qEff {
-		qEff = cap
-	}
-	if qEff < 2 {
-		qEff = 2
-	}
-	z, err := quantizer.BuildQuantileAlgo(vals, qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed))
+	qEff := c.paneBuckets(len(keys))
+	// One sort of the pane yields both the splits and every value's
+	// bucket index.
+	ps.sort.Sort(ps.vals)
+	means, buckets, err := ps.sort.Quantize(qEff, c.opts.SketchSize, c.opts.Algo, int64(c.opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	means := z.Means()
+	c.met.observeBucketIndexes(buckets, len(means))
 	mark := len(out)
 	out = appendU32(out, uint32(len(means)))
 	for _, m := range means {
@@ -369,14 +358,7 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uin
 		}
 		bd.Keys += len(out) - mark
 		mark = len(out)
-		idxBuf := getU32(len(keys))
-		idx := *idxBuf
-		for i, v := range vals {
-			idx[i] = uint32(z.Bucket(v))
-		}
-		c.met.observeBucketIndexes(idx, len(means))
-		out = bitpack.AppendBlock(out, idx, bitpack.BitsFor(len(means)))
-		putU32(idxBuf)
+		out = bitpack.AppendBlock(out, buckets, bitpack.BitsFor(len(means)))
 		bd.Values += len(out) - mark
 		return out, nil
 	}
@@ -404,29 +386,23 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uin
 	grouped := minmax.NewGrouped(c.opts.Rows, cols, len(means), groups, paneSeed)
 	ng := grouped.NumGroups()
 
-	// Route each key to its group with a counting scatter over one pooled
-	// flat buffer instead of growing ng separate lists: pass 1 buckets the
-	// values (also feeding the sketch inserts), pass 2 scatters keys to
-	// contiguous per-group regions. Scattering in key order keeps every
+	// Route each key to its group with a counting scatter over one reused
+	// flat buffer instead of growing ng separate lists: pass 1 counts the
+	// group sizes (also feeding the sketch inserts), pass 2 scatters keys
+	// to contiguous per-group regions. Scattering in key order keeps every
 	// group slice ascending — the same lists, hence the same bytes, the
 	// per-group append construction produced.
-	bucketBuf := getU32(len(keys))
-	buckets := *bucketBuf
 	counts := make([]int, ng+1)
-	for i, v := range vals {
-		b := z.Bucket(v)
-		buckets[i] = uint32(b)
-		counts[grouped.GroupOf(b)+1]++
-	}
 	for i, k := range keys {
-		grouped.Insert(k, int(buckets[i]))
+		b := int(buckets[i])
+		counts[grouped.GroupOf(b)+1]++
+		grouped.Insert(k, b)
 	}
-	c.met.observeBucketIndexes(buckets, len(means))
 	for g := 1; g <= ng; g++ {
 		counts[g] += counts[g-1] // now counts[g] is group g's start offset
 	}
-	flatBuf := getU64(len(keys))
-	flat := *flatBuf
+	flat := append(ps.flat[:0], keys...) // sized to the pane; overwritten below
+	ps.flat = flat
 	cursors := make([]int, ng)
 	copy(cursors, counts[:ng])
 	for i, k := range keys {
@@ -434,12 +410,10 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uin
 		flat[cursors[grp]] = k
 		cursors[grp]++
 	}
-	putU32(bucketBuf)
 
 	mark = len(out)
 	out, err = grouped.AppendBinary(out)
 	if err != nil {
-		putU64(flatBuf)
 		return nil, err
 	}
 	bd.Values += len(out) - mark
@@ -447,11 +421,9 @@ func (c *SketchML) encodePane(out []byte, bd *Breakdown, msgSeed uint64, dim uin
 	for grp := 0; grp < ng; grp++ {
 		out, err = c.appendKeys(out, flat[counts[grp]:counts[grp+1]], wide)
 		if err != nil {
-			putU64(flatBuf)
 			return nil, err
 		}
 	}
-	putU64(flatBuf)
 	bd.Keys += len(out) - mark
 	return out, nil
 }

@@ -300,10 +300,11 @@ func AblationKeyCodecs(cfg Config) (*Report, error) {
 	return &Report{Text: b.String(), Metrics: metrics}, nil
 }
 
-// AblationSketchAlgo compares the two quantile sketch implementations (GK,
-// the classical algorithm, and KLL, the algorithm behind the DataSketches
-// library the paper's prototype uses) as the split finder inside the full
-// codec: split quality (reconstruction error) and encode cost.
+// AblationSketchAlgo compares the split finders inside the full codec —
+// the two quantile sketches (GK, the classical algorithm, and KLL, the
+// algorithm behind the DataSketches library the paper's prototype uses)
+// and the default exact order statistics read off the pane sort — by
+// split quality (reconstruction error) and encode cost.
 func AblationSketchAlgo(cfg Config) (*Report, error) {
 	g := sampleGradient(cfg, 10000)
 	table := stats.NewTable("sketch", "recon L2 err", "msg bytes", "encode µs")
@@ -314,6 +315,7 @@ func AblationSketchAlgo(cfg Config) (*Report, error) {
 	}{
 		{"GK", quantizer.GKAlgo},
 		{"KLL", quantizer.KLLAlgo},
+		{"Exact", quantizer.ExactAlgo},
 	} {
 		opts := codec.DefaultOptions()
 		opts.Algo = a.algo

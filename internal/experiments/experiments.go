@@ -87,7 +87,7 @@ var registry = map[string]struct {
 	"ablation-quantile": {"Quantile vs uniform quantization", AblationQuantileVsUniform},
 	"ablation-keycodec": {"Delta-binary vs varint vs bitmap keys", AblationKeyCodecs},
 	"ablation-lossy":    {"Related-work lossy baselines (1-bit, Top-K, error feedback)", AblationLossyBaselines},
-	"ablation-sketch":   {"GK vs KLL quantile sketch in the codec", AblationSketchAlgo},
+	"ablation-sketch":   {"GK vs KLL vs exact quantile splits in the codec", AblationSketchAlgo},
 	"extension-ps":      {"Parameter-server topology vs single driver", ExtensionParameterServer},
 	"extension-fm":      {"Factorization machine through each codec", ExtensionFactorizationMachine},
 	"extension-ssp":     {"Stale synchronous parallel under a straggler", ExtensionSSP},

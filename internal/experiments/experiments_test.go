@@ -382,17 +382,24 @@ func TestAblationSketchAlgo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both sketches must produce working codecs with comparable quality.
-	gk, kll := rep.Metrics["GK_l2"], rep.Metrics["KLL_l2"]
-	if gk <= 0 || kll <= 0 {
-		t.Fatalf("degenerate reconstruction errors: gk=%v kll=%v", gk, kll)
+	// Every split finder must produce a working codec with quality
+	// comparable to GK's.
+	gk := rep.Metrics["GK_l2"]
+	if gk <= 0 {
+		t.Fatalf("degenerate GK reconstruction error %v", gk)
 	}
-	if gk > kll*3 || kll > gk*3 {
-		t.Errorf("GK (%.3e) and KLL (%.3e) reconstruction quality diverges >3x", gk, kll)
-	}
-	// The wire size must not depend on the sketch choice materially.
-	if b1, b2 := rep.Metrics["GK_bytes"], rep.Metrics["KLL_bytes"]; math.Abs(b1-b2) > 0.05*b1 {
-		t.Errorf("message sizes diverge: GK %v vs KLL %v", b1, b2)
+	for _, name := range []string{"KLL", "Exact"} {
+		l2 := rep.Metrics[name+"_l2"]
+		if l2 <= 0 {
+			t.Fatalf("degenerate %s reconstruction error %v", name, l2)
+		}
+		if gk > l2*3 || l2 > gk*3 {
+			t.Errorf("GK (%.3e) and %s (%.3e) reconstruction quality diverges >3x", gk, name, l2)
+		}
+		// The wire size must not depend on the split finder materially.
+		if b1, b2 := rep.Metrics["GK_bytes"], rep.Metrics[name+"_bytes"]; math.Abs(b1-b2) > 0.05*b1 {
+			t.Errorf("message sizes diverge: GK %v vs %s %v", b1, name, b2)
+		}
 	}
 }
 

@@ -1177,7 +1177,10 @@ func (x *extractor) summaryCallFlow(call *ast.CallExpr, callee *types.Func, s *F
 	if s.ReturnsWire {
 		f = mergeFlow(f, &valueFlow{untrusted: true})
 	}
-	if len(s.NondetRet) > 0 {
+	// A //lint:allow wire-determinism on the call vouches for its result
+	// (a generator with a fixed seed, say) and stops the taint there, so
+	// the sinks downstream stay checked for every other source.
+	if len(s.NondetRet) > 0 && !x.allowedAtPos(call.Pos(), "wire-determinism") {
 		f = mergeFlow(f, &valueFlow{nondet: s.NondetRet})
 	}
 	sig, _ := callee.Type().(*types.Signature)

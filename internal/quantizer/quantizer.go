@@ -1,15 +1,18 @@
 // Package quantizer implements the value-quantification strategies compared
 // in the SketchML paper:
 //
-//   - Quantile-bucket quantification (Section 3.2): a quantile sketch turns
-//     the observed value distribution into q equal-population buckets; each
-//     value is replaced by its bucket's mean and encoded as the bucket index.
-//     This adapts to the nonuniform, near-zero-concentrated distribution of
-//     real gradients.
+//   - Quantile-bucket quantification (Section 3.2): q equal-population
+//     buckets are cut from the observed value distribution; each value is
+//     replaced by its bucket's mean and encoded as the bucket index. This
+//     adapts to the nonuniform, near-zero-concentrated distribution of
+//     real gradients. The paper finds the splits with a streaming
+//     ε-approximate quantile sketch; an encoder that holds the whole pane
+//     can read them off one sort instead (Pane, ExactAlgo), which is exact
+//     and cheaper. The GK and KLL sketches remain selectable split finders.
 //   - Signed quantile quantification (Section 3.3, Solution 1): positive and
-//     negative values are quantized with separate sketches over magnitudes,
-//     so no bucket straddles zero and a decayed bucket index can never flip
-//     a gradient's sign.
+//     negative values are quantized with separate quantizers over
+//     magnitudes, so no bucket straddles zero and a decayed bucket index can
+//     never flip a gradient's sign.
 //   - Uniform quantification (the ZipML baseline): the value RANGE is split
 //     into equal-width levels, which collapses most near-zero gradients to
 //     zero on skewed data.
@@ -22,11 +25,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"sketchml/internal/sketch/quantile"
 )
 
-// Quantile maps values to equal-population buckets built from a GK sketch.
+// Quantile maps values to equal-population buckets.
 // Bucket i covers [Splits[i], Splits[i+1]) (the last bucket is inclusive on
 // the right) and decodes to the bucket mean (Splits[i]+Splits[i+1])/2.
 type Quantile struct {
@@ -34,16 +35,19 @@ type Quantile struct {
 	means  []float64 // q bucket means
 }
 
-// SketchAlgo selects the streaming quantile sketch used to find splits.
+// SketchAlgo selects how quantile splits are found.
 type SketchAlgo int
 
-// Supported quantile sketch algorithms.
+// Supported split finders.
 const (
 	// GKAlgo is the Greenwald–Khanna sketch (deterministic rank bounds).
 	GKAlgo SketchAlgo = iota
 	// KLLAlgo is the Karnin–Lang–Liberty sketch, the algorithm behind the
 	// Yahoo DataSketches library the paper's prototype uses.
 	KLLAlgo
+	// ExactAlgo reads the exact order statistics off a sort of the values;
+	// the sketch size is ignored.
+	ExactAlgo
 )
 
 // BuildQuantile constructs a quantizer with at most q buckets from the
@@ -53,32 +57,18 @@ func BuildQuantile(values []float64, q, sketchSize int) (*Quantile, error) {
 	return BuildQuantileAlgo(values, q, sketchSize, GKAlgo, 0)
 }
 
-// BuildQuantileAlgo is BuildQuantile with an explicit sketch algorithm.
-// The seed only matters for KLLAlgo (its compaction is randomized).
+// BuildQuantileAlgo is BuildQuantile with an explicit split finder. The
+// seed only matters for KLLAlgo (its compaction is randomized).
 func BuildQuantileAlgo(values []float64, q, sketchSize int, algo SketchAlgo, seed int64) (*Quantile, error) {
-	if len(values) == 0 {
-		return nil, errors.New("quantizer: no values")
+	var splits []float64
+	var err error
+	if algo == ExactAlgo {
+		var p Pane
+		p.Sort(values)
+		splits, err = p.Splits(q, sketchSize, algo, seed)
+	} else {
+		splits, err = sketchSplits(values, q, sketchSize, algo, seed)
 	}
-	if q < 1 {
-		return nil, fmt.Errorf("quantizer: q=%d < 1", q)
-	}
-	if sketchSize < 2 {
-		sketchSize = 2
-	}
-	var sk quantile.Sketch
-	switch algo {
-	case GKAlgo:
-		sk = quantile.NewWithSize(sketchSize)
-	case KLLAlgo:
-		if sketchSize < 8 {
-			sketchSize = 8
-		}
-		sk = quantile.NewKLL(sketchSize, seed)
-	default:
-		return nil, fmt.Errorf("quantizer: unknown sketch algorithm %d", algo)
-	}
-	sk.InsertAll(values)
-	splits, err := sk.Splits(q)
 	if err != nil {
 		return nil, err
 	}
@@ -96,11 +86,7 @@ func NewQuantileFromSplits(splits []float64) (*Quantile, error) {
 			return nil, fmt.Errorf("quantizer: splits not non-decreasing at %d", i)
 		}
 	}
-	q := len(splits) - 1
-	means := make([]float64, q)
-	for i := 0; i < q; i++ {
-		means[i] = (splits[i] + splits[i+1]) / 2
-	}
+	means := appendMidpoints(make([]float64, 0, len(splits)-1), splits)
 	return &Quantile{splits: splits, means: means}, nil
 }
 
@@ -118,10 +104,12 @@ func (z *Quantile) Means() []float64 { return z.means }
 // (they can occur because sketch splits are approximate). A quantizer with
 // no buckets — reachable only through a zero-value Quantile, which every
 // constructor rejects — clamps to 0 instead of indexing out of range.
+// Pane.Buckets computes the same indexes for a whole sorted pane in one
+// walk.
 //
 // The search is a fixed-stride binary search: the stride schedule depends
 // only on len(splits) and each probe is a conditional-move update, so the
-// encode hot loop pays neither the closure of sort.SearchFloat64s nor
+// per-value lookup pays neither the closure of sort.SearchFloat64s nor
 // data-dependent branch mispredictions. The result is bit-identical to the
 // sort.SearchFloat64s implementation it replaced, including NaN (all
 // comparisons false, so v clamps to the last bucket exactly as before).

@@ -5,9 +5,11 @@
 // A SketchML message compresses a sparse gradient {(k_j, v_j)} with three
 // cooperating components:
 //
-//   - Quantile-bucket quantification: a streaming quantile sketch summarizes
-//     the (highly nonuniform, near-zero-concentrated) gradient values into q
+//   - Quantile-bucket quantification: quantile splits cut the (highly
+//     nonuniform, near-zero-concentrated) gradient values into q
 //     equal-population buckets; each value is replaced by its bucket index.
+//     The paper finds the splits with a streaming quantile sketch; this
+//     encoder reads exact ones off one sort of the values by default.
 //   - MinMaxSketch: a new sketch structure that stores the bucket indexes in
 //     s hash tables with a min-on-insert / max-on-query collision rule, so
 //     decoding can only decay a gradient, never amplify or sign-flip it.
@@ -68,9 +70,10 @@ type Codec = codec.Codec
 // Options configures the SketchML compressor; start from DefaultOptions.
 type Options = codec.Options
 
-// DefaultOptions returns the paper's default configuration: q=256 buckets,
-// quantile sketch size 128, a 2×(d/5) MinMaxSketch in 8 groups, and all
-// three components enabled.
+// DefaultOptions returns the paper's default configuration: q=256 buckets
+// from exact quantile splits (sketch size 128 when Algo selects a GK or KLL
+// sketch), a 2×(d/5) MinMaxSketch in 8 groups, and all three components
+// enabled.
 func DefaultOptions() Options { return codec.DefaultOptions() }
 
 // Compressor is the SketchML codec.
