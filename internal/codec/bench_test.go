@@ -3,7 +3,6 @@ package codec
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"sketchml/internal/gradient"
@@ -21,14 +20,14 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		buckets int // q
 		groups  int // r
 		nnz     int
-		par     int // 0 = GOMAXPROCS
+		par     int // codec pane workers (Options.Parallelism)
 	}
 	points := []point{
 		{256, 8, 500, 1},
 		{256, 8, 5000, 1},
-		{256, 8, 5000, 0},
+		{256, 8, 5000, 2},
 		{256, 8, 50000, 1},
-		{256, 8, 50000, 0},
+		{256, 8, 50000, 2},
 		{64, 8, 5000, 1},
 		{256, 16, 5000, 1},
 	}
@@ -48,14 +47,11 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		c := MustSketchML(opts)
 		g := grads[p.nnz].g
 
-		// par=0 means "all cores"; label it by what it resolved to, with a
-		// "max" marker so the name never collides with an explicit level on
-		// machines where GOMAXPROCS happens to equal it.
-		parLabel := fmt.Sprintf("par%d", p.par)
-		if p.par == 0 {
-			parLabel = fmt.Sprintf("parmax%d", runtime.GOMAXPROCS(0))
-		}
-		name := fmt.Sprintf("q%d_r%d_nnz%d_%s", p.buckets, p.groups, p.nnz, parLabel)
+		// Rows name their plan (_par1 serial, _par2 two pane workers)
+		// rather than inheriting GOMAXPROCS, so they name-match on any host
+		// and bench-check gates the parallel plan that multi-core hosts run
+		// by default.
+		name := fmt.Sprintf("q%d_r%d_nnz%d_par%d", p.buckets, p.groups, p.nnz, p.par)
 
 		msg, err := c.Encode(g)
 		if err != nil {

@@ -611,8 +611,8 @@ func (c *SketchML) decodeInto(data []byte, dst *gradient.Sparse) error {
 		// both panes concurrently. Each pane writes to its own result slot,
 		// so the merged output is deterministic. The fan-out allocates its
 		// per-pane lists — the price of parallel decode, the same trade
-		// gatherRound makes per round; the serial path below is the pooled
-		// zero-allocation steady state.
+		// the trainer's driver gather makes per round; the serial path
+		// below is the pooled zero-allocation steady state.
 		rest := r.rest()
 		len0, err := skipPane(rest, delta, mm, wide)
 		if err != nil {

@@ -110,7 +110,8 @@ func TestBroadcasterQueueBounded(t *testing.T) {
 func TestGatherReusesDecodeBuffers(t *testing.T) {
 	const workers = 2
 	cfg, driverSide, workerSide, _, msg := gatherHarness(t, workers)
-	reuse := make([]gradient.Sparse, workers)
+	dg := newGather(cfg)
+	reuse := dg.reuse
 	acc := gradient.NewAccumulator(gatherDim)
 	var decode time.Duration
 	sendAll := func(round int) {
@@ -122,7 +123,7 @@ func TestGatherReusesDecodeBuffers(t *testing.T) {
 		}
 	}
 	sendAll(0)
-	if err := gatherRound(cfg, 0, driverSide, make([]int, workers), reuse, acc, &EpochStats{}, &decode); err != nil {
+	if err := dg.gather(cfg, 0, driverSide, acc, &EpochStats{}, &decode); err != nil {
 		t.Fatal(err)
 	}
 	firstKeys := make([]*uint64, workers)
@@ -134,7 +135,7 @@ func TestGatherReusesDecodeBuffers(t *testing.T) {
 	}
 	_ = acc.Sum() // drain (Sum resets the accumulator)
 	sendAll(1)
-	if err := gatherRound(cfg, 1, driverSide, make([]int, workers), reuse, acc, &EpochStats{}, &decode); err != nil {
+	if err := dg.gather(cfg, 1, driverSide, acc, &EpochStats{}, &decode); err != nil {
 		t.Fatal(err)
 	}
 	for w := range reuse {

@@ -9,6 +9,7 @@ import (
 
 	"sketchml/internal/cluster"
 	"sketchml/internal/codec"
+	"sketchml/internal/dataset"
 	"sketchml/internal/gradient"
 	"sketchml/internal/model"
 )
@@ -39,10 +40,11 @@ func TestTolerantGatherProceedsWithMissingWorker(t *testing.T) {
 		}
 	}
 	acc := gradient.NewAccumulator(gatherDim)
-	strikes := make([]int, workers)
+	dg := newGather(cfg)
+	strikes := dg.strikes
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherRound(cfg, 0, driverSide, strikes, make([]gradient.Sparse, workers), acc, &es, &decode); err != nil {
+	if err := dg.gather(cfg, 0, driverSide, acc, &es, &decode); err != nil {
 		t.Fatalf("degraded round aborted: %v", err)
 	}
 	if es.Timeouts != 1 || es.SkippedGrads != 1 || es.Strikes != 1 || es.DegradedRounds != 1 {
@@ -85,7 +87,7 @@ func TestTolerantGatherQuorumLoss(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode)
+	err := newGather(cfg).gather(cfg, 0, driverSide, acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("expected quorum-loss abort, got %v", err)
 	}
@@ -98,12 +100,13 @@ func TestTolerantGatherMaxStrikesAborts(t *testing.T) {
 	if err := workerSide[0].Send(appendFrame(nil, frameGrad, 0, msg)); err != nil {
 		t.Fatal(err)
 	}
-	strikes := make([]int, workers)
+	dg := newGather(cfg)
+	strikes := dg.strikes
 	strikes[1] = cfg.MaxStrikes - 1 // one more miss crosses the line
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherRound(cfg, 0, driverSide, strikes, make([]gradient.Sparse, workers), acc, &es, &decode)
+	err := dg.gather(cfg, 0, driverSide, acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "consecutive") {
 		t.Fatalf("expected max-strikes abort, got %v", err)
 	}
@@ -135,7 +138,7 @@ func TestTolerantGatherSkipsStaleAndCorruptFrames(t *testing.T) {
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherRound(cfg, 5, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode); err != nil {
+	if err := newGather(cfg).gather(cfg, 5, driverSide, acc, &es, &decode); err != nil {
 		t.Fatal(err)
 	}
 	if es.StaleFrames != 1 || es.CorruptFrames != 1 {
@@ -197,6 +200,49 @@ func soakTally(r *Result) soakCounters {
 	return c
 }
 
+// soakSeed gates a chaos soak behind SKETCHML_CHAOS_SOAK=1 and returns the
+// fault seed: 1, or SKETCHML_CHAOS_SEED when set.
+func soakSeed(t *testing.T) int64 {
+	t.Helper()
+	if os.Getenv("SKETCHML_CHAOS_SOAK") != "1" {
+		t.Skip("set SKETCHML_CHAOS_SOAK=1 (or run `make chaos-soak`) to enable")
+	}
+	seed := int64(1)
+	if s := os.Getenv("SKETCHML_CHAOS_SEED"); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatalf("bad SKETCHML_CHAOS_SEED %q: %v", s, err)
+		}
+		seed = v
+	}
+	return seed
+}
+
+// soakRun runs one chaos training run, failing the test if it aborts or
+// does not finish within two minutes (a deadlock).
+func soakRun(t *testing.T, cfg Config, train, test *dataset.Dataset) *Result {
+	t.Helper()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Run(cfg, train, test)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("%s chaos run aborted: %v", cfg.Topology, o.err)
+		}
+		return o.res
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("%s chaos run deadlocked", cfg.Topology)
+		return nil
+	}
+}
+
 // TestChaosSoak trains under sustained injected faults — frame drops,
 // corruption, duplication, delays, and one worker's mid-run disconnect +
 // rejoin — and demands the four headline robustness properties:
@@ -211,17 +257,7 @@ func soakTally(r *Result) soakCounters {
 // wall-clock time on expired round deadlines. SKETCHML_CHAOS_SEED overrides
 // the fault seed (the race matrix sweeps a second seed this way).
 func TestChaosSoak(t *testing.T) {
-	if os.Getenv("SKETCHML_CHAOS_SOAK") != "1" {
-		t.Skip("set SKETCHML_CHAOS_SOAK=1 (or run `make chaos-soak`) to enable")
-	}
-	seed := int64(1)
-	if s := os.Getenv("SKETCHML_CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SKETCHML_CHAOS_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
+	seed := soakSeed(t)
 	train, test := smallData(t)
 	base := Config{
 		Model:     model.LogisticRegression{},
@@ -260,30 +296,8 @@ func TestChaosSoak(t *testing.T) {
 	// and of the final rounds (so the end-of-run report gets through).
 	chaosCfg.ChaosOutage = map[int]cluster.OutageWindow{2: {Start: 12, End: 15}}
 
-	run := func() *Result {
-		t.Helper()
-		type outcome struct {
-			res *Result
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := Run(chaosCfg, train, test)
-			done <- outcome{res, err}
-		}()
-		select {
-		case o := <-done:
-			if o.err != nil {
-				t.Fatalf("chaos run aborted: %v", o.err)
-			}
-			return o.res
-		case <-time.After(2 * time.Minute):
-			t.Fatal("chaos run deadlocked")
-			return nil
-		}
-	}
-	a := run()
-	b := run()
+	a := soakRun(t, chaosCfg, train, test)
+	b := soakRun(t, chaosCfg, train, test)
 
 	// Determinism: both runs saw byte-identical faults, so every
 	// driver-side robustness counter and the trained model must agree.
@@ -340,17 +354,7 @@ func TestChaosSoak(t *testing.T) {
 // a timeout. Same gate and seed override as TestChaosSoak; `make
 // chaos-soak` runs both (-run TestChaosSoak is an unanchored match).
 func TestChaosSoakTree(t *testing.T) {
-	if os.Getenv("SKETCHML_CHAOS_SOAK") != "1" {
-		t.Skip("set SKETCHML_CHAOS_SOAK=1 (or run `make chaos-soak`) to enable")
-	}
-	seed := int64(1)
-	if s := os.Getenv("SKETCHML_CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SKETCHML_CHAOS_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
+	seed := soakSeed(t)
 	train, test := smallData(t)
 	base := Config{
 		Model:     model.LogisticRegression{},
@@ -384,30 +388,8 @@ func TestChaosSoakTree(t *testing.T) {
 	// ordinals [12, 15), taking the merged {0,2,3} subtree with it.
 	chaosCfg.ChaosOutage = map[int]cluster.OutageWindow{0: {Start: 12, End: 15}}
 
-	run := func() *Result {
-		t.Helper()
-		type outcome struct {
-			res *Result
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := Run(chaosCfg, train, test)
-			done <- outcome{res, err}
-		}()
-		select {
-		case o := <-done:
-			if o.err != nil {
-				t.Fatalf("tree chaos run aborted: %v", o.err)
-			}
-			return o.res
-		case <-time.After(2 * time.Minute):
-			t.Fatal("tree chaos run deadlocked")
-			return nil
-		}
-	}
-	a := run()
-	b := run()
+	a := soakRun(t, chaosCfg, train, test)
+	b := soakRun(t, chaosCfg, train, test)
 
 	// Determinism: per-link fault schedules are seeded, so both runs must
 	// agree on every robustness counter — driver-side and interior-node —
@@ -458,5 +440,104 @@ func TestChaosSoakTree(t *testing.T) {
 		t.Errorf("tree chaos loss %v more than 10%% above clean loss %v", a.FinalLoss, clean.FinalLoss)
 	}
 	t.Logf("seed %d: clean tree loss %.4f, chaos loss %.4f, counters %+v, merges %d, worker timeouts %d, worker corrupt %d",
+		seed, clean.FinalLoss, a.FinalLoss, c, merges, a.WorkerTimeouts, a.WorkerCorruptFrames)
+}
+
+// TestChaosSoakRing is the ring-gather counterpart of TestChaosSoak: the
+// same fault mix on every link, including the ring edges, so reduce-scatter
+// steps lose, corrupt and duplicate chunk frames and the affected chunks
+// reach the driver with partial counts. Worker 2's driver link also goes
+// dark for frame ordinals [12, 15), so its fully reduced chunk misses
+// those rounds and the driver degrades at chunk granularity. Same gate and
+// seed override as TestChaosSoak.
+func TestChaosSoakRing(t *testing.T) {
+	seed := soakSeed(t)
+	train, test := smallData(t)
+	base := Config{
+		Model:     model.LogisticRegression{},
+		Codec:     codec.MustSketchML(codec.DefaultOptions()),
+		Optimizer: adamFactory(0.1),
+		Workers:   4,
+		Epochs:    3,
+		Lambda:    0.01,
+		Seed:      2,
+		Topology:  cluster.TopologyRing,
+	}
+	clean, err := Run(base, train, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	chaosCfg := base
+	chaosCfg.RoundDeadline = 250 * time.Millisecond
+	// A quorum of one gradient's chunk: the soak exercises degraded rounds
+	// and strikes, not the quorum abort.
+	chaosCfg.MinGatherFraction = 1.0 / 16
+	chaosCfg.MaxStrikes = 10
+	chaosCfg.Chaos = &cluster.ChaosSpec{
+		Seed:        seed,
+		RecvDrop:    0.06,
+		RecvCorrupt: 0.06,
+		RecvDup:     0.03,
+		SendDelay:   0.05,
+		DelayMin:    time.Millisecond,
+		DelayMax:    4 * time.Millisecond,
+	}
+	chaosCfg.ChaosOutage = map[int]cluster.OutageWindow{2: {Start: 12, End: 15}}
+
+	a := soakRun(t, chaosCfg, train, test)
+	b := soakRun(t, chaosCfg, train, test)
+
+	// Determinism: driver-side and worker-side counters and the trained
+	// model agree across same-seed runs.
+	for i := range a.Epochs {
+		ea, eb := a.Epochs[i], b.Epochs[i]
+		if ea.Timeouts != eb.Timeouts || ea.SkippedGrads != eb.SkippedGrads ||
+			ea.CorruptFrames != eb.CorruptFrames || ea.StaleFrames != eb.StaleFrames ||
+			ea.Strikes != eb.Strikes || ea.DegradedRounds != eb.DegradedRounds {
+			t.Errorf("epoch %d robustness counters differ across same-seed runs:\n  %+v\n  %+v", i, ea, eb)
+		}
+	}
+	if a.FinalLoss != b.FinalLoss {
+		t.Errorf("same-seed ring chaos runs trained different models: loss %v vs %v", a.FinalLoss, b.FinalLoss)
+	}
+	if a.WorkerTimeouts != b.WorkerTimeouts || a.WorkerCorruptFrames != b.WorkerCorruptFrames {
+		t.Errorf("worker counters differ across same-seed runs: timeouts %d/%d corrupt %d/%d",
+			a.WorkerTimeouts, b.WorkerTimeouts, a.WorkerCorruptFrames, b.WorkerCorruptFrames)
+	}
+
+	// The ring reduced wire-to-wire, and every fault class was detected:
+	// drops and the outage as timeouts, corruption as corrupt frames,
+	// duplicates as stale frames, and missed chunks as skipped gradients,
+	// strikes and degraded rounds.
+	c := soakTally(a)
+	var merges int64
+	for _, es := range a.Epochs {
+		merges += es.Merges
+	}
+	if merges == 0 {
+		t.Error("ring soak recorded zero wire-to-wire merges")
+	}
+	if c.timeouts == 0 || c.skipped == 0 || c.strikes == 0 || c.degraded == 0 {
+		t.Errorf("soak never degraded a round: %+v", c)
+	}
+	if c.corrupt+int(a.WorkerCorruptFrames) == 0 {
+		t.Errorf("no corrupt frames detected anywhere despite %v corruption rate", chaosCfg.Chaos.RecvCorrupt)
+	}
+	if c.stale == 0 {
+		t.Errorf("no stale frames detected despite duplication and drops: %+v", c)
+	}
+	if a.WorkerTimeouts == 0 {
+		t.Error("no ring step or broadcast wait ever expired on a worker")
+	}
+	if a.WorkerFailures != 0 {
+		t.Errorf("%d workers died during the ring soak", a.WorkerFailures)
+	}
+
+	// Graceful degradation: within 10% of the fault-free ring baseline.
+	if a.FinalLoss > clean.FinalLoss*1.10 {
+		t.Errorf("ring chaos loss %v more than 10%% above clean loss %v", a.FinalLoss, clean.FinalLoss)
+	}
+	t.Logf("seed %d: clean ring loss %.4f, chaos loss %.4f, counters %+v, merges %d, worker timeouts %d, worker corrupt %d",
 		seed, clean.FinalLoss, a.FinalLoss, c, merges, a.WorkerTimeouts, a.WorkerCorruptFrames)
 }

@@ -17,10 +17,10 @@ import (
 // payload, truncated to a byte) turns in-flight corruption into a detected
 // parse failure rather than a silently-applied junk gradient.
 const (
-	frameGrad   byte = 0x47 // 'G': gradient (worker→driver) or aggregate (driver→worker)
+	frameGrad   byte = 0x47 // 'G': one gradient (gather) or the aggregate (broadcast)
 	frameReport byte = 0x52 // 'R': a worker's end-of-run report
 	frameStop   byte = 0x53 // 'S': driver→worker drain notice — finish up, report, exit
-	frameAgg    byte = 0x41 // 'A': merged partial aggregate (tree/ring gather links)
+	frameAgg    byte = 0x41 // 'A': gather message summing several gradients or one key-range chunk
 )
 
 const frameHeaderLen = 6
@@ -28,14 +28,19 @@ const frameHeaderLen = 6
 // frameAgg payload prefix: [count uint16 LE][chunk uint16 LE][codec msg].
 // count is how many worker gradients the carried message already sums
 // (what the driver divides by to keep the aggregate an unbiased mean);
-// chunk is the key-range index in a ring reduce (0 for tree messages).
+// chunk is the key-range index the message covers.
 const aggHeaderLen = 4
 
-// appendAggFrame wraps a merged codec message in the aggregate envelope,
-// appending to dst. It writes the agg prefix directly into the frame so no
-// intermediate payload buffer is needed; the checksum consequently covers
-// kind, round, count, chunk, and the message bytes.
-func appendAggFrame(dst []byte, round, count, chunk int, msg []byte) []byte {
+// appendGatherFrame wraps a gather message that sums count worker
+// gradients over key-range chunk, appending to dst: the plain frameGrad
+// envelope for one gradient of chunk 0 (so every star frame keeps its
+// bytes), frameAgg with the count/chunk prefix otherwise. The prefix is
+// written straight into the frame, so the checksum covers kind, round,
+// count, chunk, and the message bytes.
+func appendGatherFrame(dst []byte, round, count, chunk int, msg []byte) []byte {
+	if count == 1 && chunk == 0 {
+		return appendFrame(dst, frameGrad, round, msg)
+	}
 	dst = append(dst, frameAgg)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
 	sumAt := len(dst)
@@ -47,9 +52,13 @@ func appendAggFrame(dst []byte, round, count, chunk int, msg []byte) []byte {
 	return dst
 }
 
-// parseAggFrame splits a frameAgg payload (as returned by parseFrame) into
-// the aggregate prefix and the codec message, which aliases payload.
-func parseAggFrame(payload []byte) (count, chunk int, msg []byte, err error) {
+// parseGatherPayload reads a gather frame's payload (kind and payload as
+// returned by parseFrame, kind frameGrad or frameAgg) into the gradient
+// count, the chunk, and the codec message, which aliases payload.
+func parseGatherPayload(kind byte, payload []byte) (count, chunk int, msg []byte, err error) {
+	if kind == frameGrad {
+		return 1, 0, payload, nil
+	}
 	if len(payload) < aggHeaderLen {
 		return 0, 0, nil, fmt.Errorf("trainer: aggregate payload too short (%d bytes)", len(payload))
 	}

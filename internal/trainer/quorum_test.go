@@ -5,10 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"sketchml/internal/cluster"
 	"sketchml/internal/gradient"
 )
 
-// Quorum boundary tests: tolerant-mode gatherRound must accept a round
+// Quorum boundary tests: the tolerant-mode gather must accept a round
 // with exactly ceil(MinGatherFraction·W) arrivals and reject one with a
 // single arrival fewer — the boundary itself, not just the far ends. A
 // worker whose link is closed errors out immediately, which tolerant mode
@@ -34,7 +35,7 @@ func tolerantGather(t *testing.T, workers, alive int, frac float64) (error, *Epo
 	acc := gradient.NewAccumulator(gatherDim)
 	var decode time.Duration
 	es := &EpochStats{}
-	err := gatherRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, es, &decode)
+	err := newGather(cfg).gather(cfg, 0, driverSide, acc, es, &decode)
 	return err, es
 }
 
@@ -86,8 +87,8 @@ func TestMaxStrikesResetOnArrival(t *testing.T) {
 	cfg.MinGatherFraction = 0.5 // quorum 1: worker 0 alone keeps rounds alive
 	cfg.MaxStrikes = 2
 
-	strikes := make([]int, workers)
-	reuse := make([]gradient.Sparse, workers)
+	dg := newGather(cfg)
+	strikes := dg.strikes
 	acc := gradient.NewAccumulator(gatherDim)
 	var decode time.Duration
 
@@ -106,7 +107,7 @@ func TestMaxStrikesResetOnArrival(t *testing.T) {
 		if worker1Sends {
 			send(1, round)
 		}
-		err := gatherRound(cfg, round, driverSide, strikes, reuse, acc, &EpochStats{}, &decode)
+		err := dg.gather(cfg, round, driverSide, acc, &EpochStats{}, &decode)
 		round++
 		return err
 	}
@@ -130,5 +131,43 @@ func TestMaxStrikesResetOnArrival(t *testing.T) {
 		t.Fatal("worker at MaxStrikes consecutive misses did not abort")
 	} else if !strings.Contains(err.Error(), "missed 2 consecutive rounds") {
 		t.Fatalf("unexpected strike error: %v", err)
+	}
+}
+
+// TestRingQuorumPartialChunks pins the quorum where it departs from
+// counting arrived ring chunks: it counts gradients summed, Σ total ≥
+// ⌈MinGatherFraction·W·chunks⌉ — 8 of 16 at W=4 and fraction 0.5. Four
+// chunks that each sum one gradient (4) lose quorum although every chunk
+// arrived; four chunks of two gradients each (8) pass, degraded, skipping
+// two whole-gradient equivalents.
+func TestRingQuorumPartialChunks(t *testing.T) {
+	const workers = 4
+	for _, tc := range []struct {
+		count  int
+		wantOK bool
+	}{{1, false}, {2, true}} {
+		cfg, driverSide, workerSide, _, msg := gatherHarness(t, workers)
+		cfg.Topology = cluster.TopologyRing
+		cfg = tolerantCfg(cfg)
+		for w := 0; w < workers; w++ {
+			if err := workerSide[w].Send(appendGatherFrame(nil, 0, tc.count, (w+1)%workers, msg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var es EpochStats
+		var decode time.Duration
+		err := newGather(cfg).gather(cfg, 0, driverSide, gradient.NewAccumulator(gatherDim), &es, &decode)
+		if !tc.wantOK {
+			if err == nil || !strings.Contains(err.Error(), "quorum lost") {
+				t.Errorf("count %d: want quorum-lost abort, got %v", tc.count, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("count %d: %v", tc.count, err)
+		}
+		if es.SkippedGrads != 2 || es.DegradedRounds != 1 {
+			t.Errorf("count %d: skipped %d degraded %d, want 2 and 1", tc.count, es.SkippedGrads, es.DegradedRounds)
+		}
 	}
 }

@@ -1,24 +1,30 @@
-// Hierarchical gather topologies. The star driver links always exist and
-// keep carrying broadcasts, end-of-run reports, and control frames; what a
-// non-star topology changes is the gather half of each round, where worker
-// gradients are merged wire-to-wire (codec.Merger) on their way to the
-// driver so the driver decodes O(1) or O(chunk) messages instead of O(W).
+// Gather plans. The star driver links always exist and keep carrying
+// broadcasts, end-of-run reports, and control frames; a topology decides
+// only the gather half of each round, and it does so as data. A gatherPlan
+// says which driver links deliver which key-range chunk and, for every
+// worker, which aggregation links it receives from, what it merges, and
+// where it sends. One executor runs any plan — driverGather.gather on the
+// driver, workerLinks.gather on each worker — through one tolerant receive
+// (recvChunk), so star, tree, and ring share every fault rule.
 //
-//   - Tree: workers form a binary tree rooted at the driver (children of
-//     the driver are workers 0 and 1; worker w's children are 2w+2 and
-//     2w+3). Each interior worker merges its children's aggregate frames
-//     into its own encoded gradient and forwards one frameAgg up.
-//   - Ring: the key space splits into W equal ranges. Each worker encodes
-//     its gradient as W chunk messages and the ring runs the classic
-//     reduce-scatter: at step s worker w forwards chunk (w-s) mod W to its
-//     successor and merges the incoming chunk (w-s-1) mod W. After W-1
-//     steps worker w owns the fully reduced chunk (w+1) mod W and sends
-//     just that to the driver.
+//   - Star: every worker sends its encoded gradient to the driver. No
+//     worker steps.
+//   - Tree: workers form a binary tree rooted at the driver (its children
+//     are workers 0 and 1; worker w's children are 2w+2 and 2w+3). An
+//     interior worker has one step: receive its children's aggregates
+//     within half the round deadline and merge them wire-to-wire
+//     (codec.Merger) into its own gradient in child order. It then sends
+//     the result to its parent.
+//   - Ring: the key space splits into W equal ranges and the ring runs the
+//     classic reduce-scatter in W-1 steps of RoundDeadline/W each: at step
+//     s worker w sends chunk (w-s) mod W to its successor and merges the
+//     incoming chunk (w-s-1) mod W. Worker w ends holding the fully
+//     reduced chunk (w+1) mod W and sends just that to the driver.
 //
-// Every frameAgg carries how many worker gradients its message already
-// sums; the driver weights each decoded message by 1/total so the applied
-// aggregate stays the unbiased mean even when subtrees or chunks go
-// missing in tolerant mode.
+// Every message carries how many worker gradients it already sums; the
+// driver weights an arrival on chunk c by 1/total[c], the gradients that
+// reached chunk c this round, so the applied aggregate stays the unbiased
+// mean whatever went missing in tolerant mode.
 
 package trainer
 
@@ -26,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,554 +41,521 @@ import (
 	"sketchml/internal/gradient"
 )
 
-// workerLinks is one worker's view of the aggregation wiring, plus its
-// persistent per-round buffers. The zero value is a star worker.
-type workerLinks struct {
-	topo    cluster.Topology
-	w       int
-	workers int
-	// Tree: up is the uplink to the parent worker (nil when the parent is
-	// the driver — workers 0 and 1 send aggregates over their driver
-	// link); children are the receive ends of the child subtrees' uplinks.
-	up       cluster.Conn
-	children []cluster.Conn
-	// Ring: receive from predecessor, send to successor, and the chunk
-	// bounds every party derives identically (len workers+1 over [0,dim]).
-	ringIn  cluster.Conn
-	ringOut cluster.Conn
-	bounds  []uint64
-
-	// Reusable buffers: the outbound frame, two alternating merge targets
-	// (codec.MergeInto may alias its first input, so two suffice for any
-	// merge chain), and the ring's per-chunk messages and gradient counts.
-	sendBuf    []byte
-	mergeBuf   [2][]byte
-	chunkMsg   [][]byte
-	chunkCount []int
+// gatherPlan is one run's gather schedule, built once from the config.
+type gatherPlan struct {
+	name    string      // topology name, for error messages
+	chunks  int         // key-range chunks the gather reduces: W for ring, else 1
+	inputs  []planInput // the driver's receives, in accumulation order
+	workers []workerPlan
 }
 
-func (lk *workerLinks) close() {
-	if lk.up != nil {
-		_ = lk.up.Close()
-	}
-	for _, c := range lk.children {
-		_ = c.Close()
-	}
-	if lk.ringIn != nil {
-		_ = lk.ringIn.Close()
-	}
-	if lk.ringOut != nil {
-		_ = lk.ringOut.Close()
-	}
+// planInput is one driver receive: driver link `link` delivers `chunk`.
+type planInput struct{ link, chunk int }
+
+// workerPlan is one worker's part of the gather: its steps, then a final
+// send of chunk `final` to parent, or to the driver when parent is -1. A
+// worker sends on at most one aggregation link (parent or next).
+type workerPlan struct {
+	parent int   // worker the final send goes to; -1: the driver
+	next   int   // worker the step sends go to; -1: no step sends
+	in     []int // workers this worker receives from, in merge order
+	steps  []planStep
+	final  int
 }
 
-// treeParent returns worker w's parent worker index, or -1 when the parent
-// is the driver (w < 2).
-func treeParent(w int) int {
-	if w < 2 {
-		return -1
-	}
-	return (w - 2) / 2
+// planStep optionally sends one chunk to next, then receives chunk recv
+// from every in link — concurrently, within budget — and merges the
+// arrivals in link order.
+type planStep struct {
+	send   int // chunk sent before receiving; -1 for none
+	recv   int
+	budget time.Duration
 }
 
-// aggLevel maps a worker to its aggregation level for the per-level merge
-// accounting: level 0 holds the driver's direct children, level 1 their
-// children, and so on (ring runs are flat — every worker is level 0).
-// Returns -1 for star, where no worker merges.
-func aggLevel(topo cluster.Topology, w int) int {
-	switch topo {
+// newGatherPlan builds the gather plan of cfg's topology.
+func newGatherPlan(cfg *Config) *gatherPlan {
+	n := cfg.Workers
+	p := &gatherPlan{name: cfg.Topology.String(), chunks: 1, workers: make([]workerPlan, n)}
+	for w := range p.workers {
+		p.workers[w] = workerPlan{parent: -1, next: -1}
+	}
+	switch cfg.Topology {
 	case cluster.TopologyTree:
-		// Worker w sits at tree depth floor(log2(w+2)) below the driver.
-		return int(math.Log2(float64(w+2))) - 1
+		for w := 2; w < n; w++ {
+			parent := (w - 2) / 2
+			p.workers[w].parent = parent
+			p.workers[parent].in = append(p.workers[parent].in, w)
+		}
+		for w := range p.workers {
+			if len(p.workers[w].in) > 0 {
+				p.workers[w].steps = []planStep{{send: -1, recv: 0, budget: cfg.RoundDeadline / 2}}
+			}
+		}
 	case cluster.TopologyRing:
-		return 0
+		p.chunks = n
+		mod := func(i int) int { return (i%n + n) % n }
+		for w := range p.workers {
+			wp := &p.workers[w]
+			wp.final = mod(w + 1)
+			if n > 1 {
+				wp.next, wp.in = mod(w+1), []int{mod(w - 1)}
+			}
+			for s := 0; s < n-1; s++ {
+				wp.steps = append(wp.steps, planStep{send: mod(w - s), recv: mod(w - s - 1), budget: cfg.RoundDeadline / time.Duration(n)})
+			}
+		}
 	}
-	return -1
+	for w := range p.workers {
+		if p.workers[w].parent < 0 {
+			p.inputs = append(p.inputs, planInput{link: w, chunk: p.workers[w].final})
+		}
+	}
+	return p
 }
 
-// ringBounds splits [0, dim] into workers+1 equal-range boundaries. Every
+// level is worker w's depth below the driver, the key of the per-level
+// merge accounting (Result.LevelMergeNs): 0 for the driver's direct
+// senders, then one more per parent hop.
+func (p *gatherPlan) level(w int) int {
+	d := 0
+	for p.workers[w].parent >= 0 {
+		w = p.workers[w].parent
+		d++
+	}
+	return d
+}
+
+// ringBounds splits [0, dim] into chunks+1 equal-range boundaries. Every
 // party derives the same bounds from dim alone, so no coordination round
 // is needed.
-func ringBounds(dim uint64, workers int) []uint64 {
-	bounds := make([]uint64, workers+1)
-	for i := 0; i <= workers; i++ {
-		bounds[i] = uint64(float64(i) / float64(workers) * float64(dim))
+func ringBounds(dim uint64, chunks int) []uint64 {
+	bounds := make([]uint64, chunks+1)
+	for i := 0; i <= chunks; i++ {
+		bounds[i] = uint64(float64(i) / float64(chunks) * float64(dim))
 	}
-	bounds[workers] = dim
+	bounds[chunks] = dim
 	return bounds
 }
 
-// buildAggLinks wires the worker↔worker aggregation links for the
-// configured topology and returns each worker's link view plus every
-// connection end the driver must close on teardown. Star returns zeroed
-// links and no connections. Chaos schedules on aggregation links use seed
-// indexes offset past the worker range (Workers+idx) so they are distinct
-// from — but exactly as reproducible as — the driver links' schedules.
-func buildAggLinks(cfg *Config, wrap func(seedIdx int, inner cluster.Conn, outageFor int) *cluster.CountingConn, dim uint64) ([]workerLinks, []cluster.Conn) {
+// workerLinks is one worker's aggregation wiring plus its persistent
+// per-round buffers.
+type workerLinks struct {
+	w      int
+	plan   *workerPlan
+	bounds []uint64       // chunk key bounds (len chunks+1)
+	out    cluster.Conn   // send end of the link to plan.parent or plan.next
+	in     []cluster.Conn // receive ends, in plan.in order
+	// held[i] keeps, per chunk, a frame that arrived on in[i] ahead of the
+	// step that receives it (see recvChunk).
+	held [][][]byte
+
+	// Reusable buffers: the outbound frame, the merge target (swapped with
+	// the message a merge replaces, so a failed merge leaves that message
+	// intact), each chunk's message and gradient count, and each in link's
+	// receive outcome.
+	sendBuf  []byte
+	mergeBuf []byte
+	msg      [][]byte
+	count    []int
+	recvs    []recvOutcome
+}
+
+func (lk *workerLinks) close() {
+	for _, c := range append([]cluster.Conn{lk.out}, lk.in...) {
+		if c != nil {
+			_ = c.Close()
+		}
+	}
+}
+
+// buildAggLinks wires the worker→worker aggregation links the plan uses
+// and returns each worker's link view plus every connection end the driver
+// must close on teardown. Star wires none.
+func buildAggLinks(cfg *Config, plan *gatherPlan, wrap func(seedIdx int, inner cluster.Conn, outageFor int) *cluster.CountingConn, dim uint64) ([]workerLinks, []cluster.Conn) {
+	bounds := ringBounds(dim, plan.chunks)
 	links := make([]workerLinks, cfg.Workers)
 	for w := range links {
-		links[w].topo = cfg.Topology
-		links[w].w = w
-		links[w].workers = cfg.Workers
+		wp := &plan.workers[w]
+		links[w] = workerLinks{
+			w: w, plan: wp, bounds: bounds,
+			in:    make([]cluster.Conn, len(wp.in)),
+			held:  make([][][]byte, len(wp.in)),
+			msg:   make([][]byte, plan.chunks),
+			count: make([]int, plan.chunks),
+			recvs: make([]recvOutcome, len(wp.in)),
+		}
+		for i := range links[w].held {
+			links[w].held[i] = make([][]byte, plan.chunks)
+		}
 	}
 	var aux []cluster.Conn
-	switch cfg.Topology {
-	case cluster.TopologyTree:
-		for w := 2; w < cfg.Workers; w++ {
-			parent := treeParent(w)
-			childEnd, parentEnd := cluster.Pair(4)
-			// The parent-side end is the instrumented one: chaos faults on
-			// receive, so drops/corruption/outages hit the frames the child
-			// sends upward. The child's configured outage lands here (not on
-			// its driver link) — see outageOnDriverLink in RunContext.
-			wrapped := wrap(cfg.Workers+w, parentEnd, w)
-			links[w].up = childEnd
-			links[parent].children = append(links[parent].children, wrapped)
-			aux = append(aux, childEnd, wrapped)
+	for w := range links {
+		wp := &plan.workers[w]
+		to, outage := wp.parent, w
+		if to < 0 {
+			to, outage = wp.next, -1
 		}
-	case cluster.TopologyRing:
-		if cfg.Workers > 1 {
-			for e := 0; e < cfg.Workers; e++ {
-				// Edge e: worker e → worker (e+1)%W. The buffer holds two
-				// full rounds of chunk frames so a straggler's unconsumed
-				// backlog can never block the ring into a send cycle.
-				outEnd, inEnd := cluster.Pair(2 * cfg.Workers)
-				wrapped := wrap(cfg.Workers+e, inEnd, -1)
-				links[e].ringOut = outEnd
-				links[(e+1)%cfg.Workers].ringIn = wrapped
-				aux = append(aux, outEnd, wrapped)
-			}
+		if to < 0 {
+			continue
 		}
-		bounds := ringBounds(dim, cfg.Workers)
-		for w := range links {
-			links[w].bounds = bounds
-			links[w].chunkMsg = make([][]byte, cfg.Workers)
-			links[w].chunkCount = make([]int, cfg.Workers)
-		}
+		// Edge w→to. The receiving end is the instrumented one: chaos
+		// faults on receive, so drops, corruption, and outages hit the
+		// frames w sends. Its chaos seed index sits past the driver links'
+		// (Workers+w), so every link faults independently but reproducibly.
+		// A worker whose final send goes to a parent carries its
+		// ChaosOutage here instead of on its driver link (see RunContext):
+		// an interior node dropping out degrades its subtree's gather while
+		// its broadcasts keep flowing. The buffer holds MaxStrikes+2 rounds
+		// of frames, so a peer absent for as long as the strike ledger
+		// tolerates never blocks its sender.
+		sendEnd, recvEnd := cluster.Pair((cfg.MaxStrikes + 2) * cfg.Workers)
+		wrapped := wrap(cfg.Workers+w, recvEnd, outage)
+		links[w].out = sendEnd
+		links[to].in[slices.Index(plan.workers[to].in, w)] = wrapped
+		aux = append(aux, sendEnd, wrapped)
 	}
 	return links, aux
 }
 
-// aggRecv is the outcome of one aggregate-frame receive on an aggregation
-// or driver link.
-type aggRecv struct {
-	count    int    // worker gradients summed into payload (0 on a miss)
-	payload  []byte // codec message; aliases the transport buffer, nil on a miss
-	bytes    int64  // raw frame bytes received, including discarded frames
-	timeouts int
-	corrupt  int
-	stale    int
-	err      error // fatal in strict mode; tolerant mode never sets it
+// recvOutcome is the result of one chunk receive on one link.
+type recvOutcome struct {
+	g          *gradient.Sparse // decoded message (driver receives); aliases the decode target
+	msg        []byte           // codec message; aliases the transport buffer, nil on a miss
+	count      int              // worker gradients summed into msg
+	frameBytes int64            // every frame received, discarded ones included
+	decodeNs   int64
+	timeouts   int
+	corrupt    int
+	stale      int
+	err        error // strict mode only; tolerant mode turns every fault into a miss
 }
 
-// recvAggFrame receives one frameAgg for the given round and chunk. In
-// strict mode (no deadline) it blocks until a frame arrives and any
-// anomaly is an error. In tolerant mode it spends at most budget: stale
-// and corrupt frames are counted, discarded, and the wait continues on the
-// remaining time; expiry or a dead link is a miss, never an abort —
-// aggregation links are best-effort, the star control links keep every
-// party in the protocol.
-func recvAggFrame(cfg Config, conn cluster.Conn, round, expectChunk int, budget time.Duration) aggRecv {
-	var out aggRecv
-	var deadline time.Time
-	if cfg.tolerant() {
-		deadline = time.Now().Add(budget)
-	}
+// recvChunk receives chunk `chunk` of the given round from worker peer on
+// conn: the one receive every gather link uses, driver and worker alike.
+// In strict mode (no RoundDeadline) it blocks until a frame arrives, and
+// any anomaly is an error. In tolerant mode it waits until deadline: a
+// stale frame (another round or chunk) and a corrupt one (bad envelope,
+// bad prefix, or a payload that fails decode) are counted and skipped, and
+// the wait goes on. Deadline expiry is a timeout; a closed link is a miss
+// without one. Either way the outcome is empty, never an abort.
+//
+// held, when non-nil, keeps a frame that arrives for another chunk of the
+// same round until the receive for that chunk. A ring link carries W-1
+// chunks per round in order, so when one is lost the next can arrive while
+// this receive still waits; discarding it would lose that chunk too, and
+// whether it came before or after the deadline would decide which.
+//
+// dst, when non-nil, is the decode target: the message is decoded into it
+// (codec.DecodeReuse) and the outcome's g aliases it, so a steady-state
+// driver gather allocates no gradients.
+func recvChunk(cfg Config, conn cluster.Conn, peer, round, chunk int, deadline time.Time, held [][]byte, dst *gradient.Sparse) recvOutcome {
+	var out recvOutcome
 	for {
-		var wait time.Duration
-		if cfg.tolerant() {
-			wait = time.Until(deadline)
-			if wait <= 0 {
-				out.timeouts++
-				return out
-			}
-		}
-		msg, err := cluster.RecvWithTimeout(conn, wait)
-		if errors.Is(err, cluster.ErrTimeout) {
-			out.timeouts++
-			return out
-		}
-		if err != nil {
+		var msg []byte
+		if held != nil && held[chunk] != nil {
+			msg, held[chunk] = held[chunk], nil
+		} else {
+			var wait time.Duration
 			if cfg.tolerant() {
+				if wait = time.Until(deadline); wait <= 0 {
+					out.timeouts++
+					return out
+				}
+			}
+			var err error
+			msg, err = cluster.RecvWithTimeout(conn, wait)
+			if errors.Is(err, cluster.ErrTimeout) {
 				out.timeouts++
 				return out
 			}
-			out.err = err
-			return out
+			if err != nil {
+				if !cfg.tolerant() {
+					out.err = fmt.Errorf("trainer: recv from worker %d: %w", peer, err)
+				}
+				return out
+			}
+			out.frameBytes += int64(len(msg))
 		}
-		out.bytes += int64(len(msg))
 		kind, tag, payload, err := parseFrame(msg)
 		if err != nil {
 			if !cfg.tolerant() {
-				out.err = err
+				out.err = fmt.Errorf("trainer: frame from worker %d: %w", peer, err)
 				return out
 			}
 			out.corrupt++
 			continue
 		}
-		if kind != frameAgg || tag != round {
+		if (kind != frameGrad && kind != frameAgg) || tag != round {
 			if !cfg.tolerant() {
-				out.err = fmt.Errorf("unexpected kind 0x%02x round %d during round %d", kind, tag, round)
+				out.err = fmt.Errorf("trainer: worker %d sent kind 0x%02x round %d during round %d", peer, kind, tag, round)
 				return out
 			}
 			out.stale++
 			continue
 		}
-		count, chunk, body, err := parseAggFrame(payload)
+		count, c, body, err := parseGatherPayload(kind, payload)
 		if err != nil {
 			if !cfg.tolerant() {
-				out.err = err
+				out.err = fmt.Errorf("trainer: frame from worker %d: %w", peer, err)
 				return out
 			}
 			out.corrupt++
 			continue
 		}
-		if chunk != expectChunk {
+		if c != chunk {
 			if !cfg.tolerant() {
-				out.err = fmt.Errorf("aggregate for chunk %d during chunk %d of round %d", chunk, expectChunk, round)
+				out.err = fmt.Errorf("trainer: worker %d sent chunk %d during chunk %d of round %d", peer, c, chunk, round)
 				return out
 			}
-			out.stale++
+			if held != nil && c < len(held) {
+				held[c] = append([]byte(nil), msg...)
+			} else {
+				out.stale++
+			}
 			continue
 		}
-		out.count = count
-		out.payload = body
+		if dst != nil {
+			t0 := time.Now()
+			g, err := codec.DecodeReuse(cfg.Codec, body, dst)
+			out.decodeNs += time.Since(t0).Nanoseconds()
+			if err != nil {
+				if !cfg.tolerant() {
+					out.err = fmt.Errorf("trainer: decode from worker %d: %w", peer, err)
+					return out
+				}
+				out.corrupt++
+				continue
+			}
+			out.g = g
+		}
+		out.msg, out.count = body, count
 		return out
 	}
 }
 
-// treeGatherStep runs worker w's gather half of one tree round: encode the
-// local gradient, wait for each child subtree's aggregate (at most half
-// the round deadline — the waits run concurrently, so interior levels do
-// not cascade into the driver's full deadline), merge arrivals wire-to-
-// wire in child order, and forward one frameAgg to the parent. A missing
-// or unusable child frame degrades that subtree's contribution (its count
-// simply stays out of the total); only strict mode aborts.
-func treeGatherStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sparse, round int, rep *workerReport) error {
-	merger := cfg.Codec.(codec.Merger)
+// gather runs this worker's part of one round's gather: encode the local
+// gradient (one message per chunk), run the plan's steps, and send the
+// final chunk to the parent or the driver. A missing or unusable frame
+// leaves its chunk with the gradients already summed — the count on the
+// wire keeps the driver's weighting unbiased — and only strict mode
+// aborts. Step deadlines accumulate from the first step, so a step that
+// waits out its budget still sends its next chunk a full budget before the
+// successor's deadline for it.
+func (lk *workerLinks) gather(cfg Config, driver cluster.Conn, g *gradient.Sparse, round int, rep *workerReport) error {
+	whole := [1]*gradient.Sparse{g}
+	parts := whole[:]
+	if len(lk.msg) > 1 {
+		parts = splitByRange(g, lk.bounds)
+	}
 	t0 := time.Now()
-	msg, err := cfg.Codec.Encode(g)
+	for c, part := range parts {
+		msg, err := cfg.Codec.Encode(part)
+		if err != nil {
+			rep.encodeNs += time.Since(t0).Nanoseconds()
+			return fmt.Errorf("trainer: worker encode: %w", err)
+		}
+		lk.msg[c], lk.count[c] = msg, 1
+	}
 	rep.encodeNs += time.Since(t0).Nanoseconds()
-	if err != nil {
-		return fmt.Errorf("trainer: worker encode: %w", err)
-	}
-	cur := msg
-	count := 1
-	if len(lk.children) > 0 {
-		recvs := make([]aggRecv, len(lk.children))
-		var wg sync.WaitGroup
-		wg.Add(len(lk.children))
-		for i := range lk.children {
-			go func(i int, cfg Config) {
-				defer wg.Done()
-				recvs[i] = recvAggFrame(cfg, lk.children[i], round, 0, cfg.RoundDeadline/2)
-			}(i, cfg)
+
+	deadline := time.Now()
+	for _, st := range lk.plan.steps {
+		deadline = deadline.Add(st.budget)
+		if st.send >= 0 {
+			lk.sendBuf = appendGatherFrame(lk.sendBuf[:0], round, lk.count[st.send], st.send, lk.msg[st.send])
+			if err := lk.out.Send(lk.sendBuf); err != nil && !cfg.tolerant() {
+				return fmt.Errorf("trainer: worker %d send to worker %d: %w", lk.w, lk.plan.next, err)
+			}
+			// A dead out link in tolerant mode: the receiver misses this
+			// chunk and keeps its own partial sum.
 		}
-		wg.Wait()
-		bi := 0
-		for i := range recvs {
-			r := &recvs[i]
-			rep.timeouts += int64(r.timeouts)
-			rep.corrupt += int64(r.corrupt)
-			rep.aggBytes += r.bytes
-			if r.err != nil {
-				return fmt.Errorf("trainer: worker %d recv from child: %w", lk.w, r.err)
-			}
-			if r.payload == nil {
-				continue
-			}
-			t0 = time.Now()
-			merged, merr := merger.MergeInto(lk.mergeBuf[bi], cur, r.payload)
-			rep.mergeNs += time.Since(t0).Nanoseconds()
-			if merr != nil {
-				if !cfg.tolerant() {
-					return fmt.Errorf("trainer: worker %d merge child aggregate: %w", lk.w, merr)
-				}
-				rep.corrupt++
-				continue
-			}
-			lk.mergeBuf[bi] = merged
-			cur = merged
-			bi = 1 - bi
-			rep.merges++
-			count += r.count
+		if err := lk.mergeStep(cfg, round, st, deadline, rep); err != nil {
+			return err
 		}
 	}
-	lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, count, 0, cur)
-	if lk.up == nil {
-		// Root-level worker: the parent is the driver, reached over the
-		// counted driver link. A send failure here is as fatal as a star
-		// worker's gradient send — the driver link is the protocol spine.
+
+	final := lk.plan.final
+	lk.sendBuf = appendGatherFrame(lk.sendBuf[:0], round, lk.count[final], final, lk.msg[final])
+	if lk.plan.parent < 0 {
+		// The driver link is the protocol spine: a failed send is fatal.
 		if err := driver.Send(lk.sendBuf); err != nil {
 			return fmt.Errorf("trainer: worker send: %w", err)
 		}
 		return nil
 	}
-	if err := lk.up.Send(lk.sendBuf); err != nil {
-		if !cfg.tolerant() {
-			return fmt.Errorf("trainer: worker %d send to parent: %w", lk.w, err)
-		}
-		// Dead uplink: this subtree misses the round. The broadcast on the
-		// driver link keeps this worker (and its children) in sync.
+	if err := lk.out.Send(lk.sendBuf); err != nil && !cfg.tolerant() {
+		return fmt.Errorf("trainer: worker %d send to parent: %w", lk.w, err)
 	}
+	// A dead uplink in tolerant mode: this subtree misses the round, and
+	// the broadcast on the driver link keeps it in sync.
 	return nil
 }
 
-// ringReduceStep runs worker w's reduce-scatter half of one ring round.
-// Each of the W-1 steps gets an equal slice of the round deadline; a step
-// whose frame misses it leaves that chunk with only the local (partial)
-// sum — the count in the frame keeps the driver's weighting unbiased.
-func ringReduceStep(cfg Config, lk *workerLinks, driver cluster.Conn, g *gradient.Sparse, round int, rep *workerReport) error {
-	w, workers := lk.w, lk.workers
-	merger := cfg.Codec.(codec.Merger)
-	chunks := splitByRange(g, lk.bounds)
-	t0 := time.Now()
-	for i := 0; i < workers; i++ {
-		msg, err := cfg.Codec.Encode(chunks[i])
-		if err != nil {
-			rep.encodeNs += time.Since(t0).Nanoseconds()
-			return fmt.Errorf("trainer: worker encode chunk %d: %w", i, err)
+// mergeStep receives one step's chunk from every in link, concurrently
+// when there are several, and merges the arrivals wire-to-wire in link
+// order.
+func (lk *workerLinks) mergeStep(cfg Config, round int, st planStep, deadline time.Time, rep *workerReport) error {
+	if len(lk.in) == 1 {
+		lk.recvs[0] = recvChunk(cfg, lk.in[0], lk.plan.in[0], round, st.recv, deadline, lk.held[0], nil)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(lk.in))
+		for i := range lk.in {
+			go func(i int, cfg Config) {
+				defer wg.Done()
+				lk.recvs[i] = recvChunk(cfg, lk.in[i], lk.plan.in[i], round, st.recv, deadline, lk.held[i], nil)
+			}(i, cfg)
 		}
-		lk.chunkMsg[i] = msg
-		lk.chunkCount[i] = 1
+		wg.Wait()
 	}
-	rep.encodeNs += time.Since(t0).Nanoseconds()
-
-	stepBudget := cfg.RoundDeadline / time.Duration(workers)
-	for s := 0; s < workers-1; s++ {
-		sendIdx := ((w-s)%workers + workers) % workers
-		lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, lk.chunkCount[sendIdx], sendIdx, lk.chunkMsg[sendIdx])
-		if err := lk.ringOut.Send(lk.sendBuf); err != nil {
-			if !cfg.tolerant() {
-				return fmt.Errorf("trainer: worker %d ring send: %w", w, err)
-			}
-			// Dead out-edge: the successor times out and keeps its local
-			// copy; this worker keeps reducing what still reaches it.
-		}
-		expect := ((w-s-1)%workers + workers) % workers
-		r := recvAggFrame(cfg, lk.ringIn, round, expect, stepBudget)
+	merger := cfg.Codec.(codec.Merger)
+	c := st.recv
+	for i := range lk.recvs {
+		r := &lk.recvs[i]
 		rep.timeouts += int64(r.timeouts)
 		rep.corrupt += int64(r.corrupt)
-		rep.aggBytes += r.bytes
+		rep.aggBytes += r.frameBytes
 		if r.err != nil {
-			return fmt.Errorf("trainer: worker %d ring recv: %w", w, r.err)
+			return r.err
 		}
-		if r.payload == nil {
+		if r.msg == nil {
 			continue
 		}
-		t0 = time.Now()
-		merged, merr := merger.MergeInto(lk.mergeBuf[0], lk.chunkMsg[expect], r.payload)
+		t0 := time.Now()
+		merged, err := merger.MergeInto(lk.mergeBuf, lk.msg[c], r.msg)
 		rep.mergeNs += time.Since(t0).Nanoseconds()
-		if merr != nil {
+		if err != nil {
 			if !cfg.tolerant() {
-				return fmt.Errorf("trainer: worker %d merge ring chunk %d: %w", w, expect, merr)
+				return fmt.Errorf("trainer: worker %d merge chunk %d from worker %d: %w", lk.w, c, lk.plan.in[i], err)
 			}
 			rep.corrupt++
 			continue
 		}
-		// The outgrown chunk buffer becomes the next round's merge target.
-		lk.chunkMsg[expect], lk.mergeBuf[0] = merged, lk.chunkMsg[expect][:0]
+		lk.msg[c], lk.mergeBuf = merged, lk.msg[c][:0]
+		lk.count[c] += r.count
 		rep.merges++
-		lk.chunkCount[expect] += r.count
-	}
-
-	finalIdx := (w + 1) % workers
-	lk.sendBuf = appendAggFrame(lk.sendBuf[:0], round, lk.chunkCount[finalIdx], finalIdx, lk.chunkMsg[finalIdx])
-	if err := driver.Send(lk.sendBuf); err != nil {
-		return fmt.Errorf("trainer: worker send: %w", err)
 	}
 	return nil
 }
 
-// gatherAgg receives and decodes one aggregate message from a driver link.
-func gatherAgg(cfg Config, conn cluster.Conn, w, round, expectChunk int, dst *gradient.Sparse) gatherOutcome {
-	ar := recvAggFrame(cfg, conn, round, expectChunk, cfg.RoundDeadline)
-	var out gatherOutcome
-	out.timeouts, out.corrupt, out.stale = ar.timeouts, ar.corrupt, ar.stale
-	if ar.err != nil {
-		out.err = fmt.Errorf("trainer: recv aggregate from worker %d: %w", w, ar.err)
-		return out
-	}
-	if ar.payload == nil {
-		return out
-	}
-	t0 := time.Now()
-	g, err := codec.DecodeReuse(cfg.Codec, ar.payload, dst)
-	out.decodeNs = time.Since(t0).Nanoseconds()
-	if err != nil {
-		if !cfg.tolerant() {
-			out.err = fmt.Errorf("trainer: decode aggregate from worker %d: %w", w, err)
-			return out
-		}
-		out.corrupt++
-		return out
-	}
-	out.g = g
-	out.count = ar.count
-	out.bytes = int64(len(ar.payload))
-	return out
+// driverGather is the driver's per-run gather state: the plan plus, per
+// input, a strike counter, a persistent decode target, and an outcome
+// slot, and the per-chunk arrival totals. Allocated once, so a
+// steady-state round allocates nothing here.
+type driverGather struct {
+	plan    *gatherPlan
+	strikes []int             // consecutive missed rounds per input
+	reuse   []gradient.Sparse // decode target per input
+	outs    []recvOutcome     // this round's outcome per input
+	totals  []int             // worker gradients summed per chunk this round
+	wg      sync.WaitGroup
 }
 
-// gatherTreeRound is the driver's gather for a tree round: receive and
-// decode one merged aggregate from each root-level worker (0 and 1), then
-// weight every message by 1/total where total is the number of worker
-// gradients the arrivals sum — the aggregate stays the unbiased mean of
-// whatever subtrees made it. Quorum and strikes work like the star
-// gather's, at subtree granularity: a missing or partial subtree degrades
-// the round, a root link missing MaxStrikes consecutive rounds aborts.
-func gatherTreeRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
-	roots := cfg.Workers
-	if roots > 2 {
-		roots = 2
+func newDriverGather(plan *gatherPlan) *driverGather {
+	n := len(plan.inputs)
+	return &driverGather{
+		plan:    plan,
+		strikes: make([]int, n),
+		reuse:   make([]gradient.Sparse, n),
+		outs:    make([]recvOutcome, n),
+		totals:  make([]int, plan.chunks),
 	}
-	outs := make([]gatherOutcome, roots)
-	var wg sync.WaitGroup
-	wg.Add(roots)
-	for r := 0; r < roots; r++ {
-		go func(r int, cfg Config) {
-			defer wg.Done()
-			outs[r] = gatherAgg(cfg, driverSide[r], r, round, 0, &reuse[r])
-		}(r, cfg)
-	}
-	wg.Wait()
-	total := 0
-	for r := range outs {
-		*driverDecode += time.Duration(outs[r].decodeNs)
-		es.Timeouts += outs[r].timeouts
-		es.CorruptFrames += outs[r].corrupt
-		es.StaleFrames += outs[r].stale
-		if outs[r].g != nil {
-			total += outs[r].count
-			es.RawUpBytes += rawWireBytes(outs[r].g)
-			es.DecodedBytes += outs[r].bytes
-		}
-	}
-	if !cfg.tolerant() {
-		for r := range outs {
-			if outs[r].err != nil {
-				return outs[r].err
-			}
-		}
-		if total != cfg.Workers {
-			return fmt.Errorf("trainer: strict tree gather summed %d/%d gradients in round %d", total, cfg.Workers, round)
-		}
+}
+
+// gather runs the driver's half of one round's gather: receive every plan
+// input (on one goroutine per input when there are several), then fold the
+// arrivals into acc sequentially in input order, so float summation — and
+// thus training — stays deterministic. The decode meter sums per-input
+// decode durations, not wall time, so DecodeTime reports the same CPU cost
+// at any parallelism.
+//
+// Every rule reads the per-chunk totals (how many worker gradients reached
+// each chunk) and never the topology. An arrival on chunk c is weighted
+// 1/total[c]. Strict mode (RoundDeadline == 0) requires every total to be
+// W, and any fault aborts. In tolerant mode a round whose totals fall
+// short of W is degraded; it aborts only on quorum loss (Σ total below
+// ⌈MinGatherFraction·W·chunks⌉) or when one input link misses MaxStrikes
+// consecutive rounds.
+//
+//sketchlint:hotpath
+func (d *driverGather) gather(cfg Config, round int, conns []*cluster.CountingConn, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
+	p := d.plan
+	deadline := time.Now().Add(cfg.RoundDeadline)
+	if len(p.inputs) == 1 {
+		in := p.inputs[0]
+		//lint:allow hotpath-alloc recvChunk allocates only on fault paths (decode error, strict-mode abort); the clean-path receive is allocation-free
+		d.outs[0] = recvChunk(cfg, conns[in.link], in.link, round, in.chunk, deadline, nil, &d.reuse[0])
 	} else {
-		quorum := int(math.Ceil(cfg.MinGatherFraction * float64(cfg.Workers)))
-		if quorum < 1 {
-			quorum = 1
+		d.wg.Add(len(p.inputs))
+		for i := range p.inputs {
+			// cfg travels as a goroutine argument (copied onto the new
+			// goroutine's stack): captured, the >128-byte struct would be
+			// moved to the heap by reference once per round.
+			//lint:allow hotpath-alloc one goroutine closure per worker per round; the fan-out is the parallel-decode design
+			go func(i int, cfg Config) {
+				defer d.wg.Done()
+				in := d.plan.inputs[i]
+				d.outs[i] = recvChunk(cfg, conns[in.link], in.link, round, in.chunk, deadline, nil, &d.reuse[i])
+			}(i, cfg)
 		}
-		if total < quorum {
+		d.wg.Wait()
+	}
+	clear(d.totals)
+	for i := range d.outs {
+		o := &d.outs[i]
+		*driverDecode += time.Duration(o.decodeNs)
+		es.Timeouts += o.timeouts
+		es.CorruptFrames += o.corrupt
+		es.StaleFrames += o.stale
+		if o.err != nil {
+			return o.err
+		}
+		if o.g != nil {
+			d.totals[p.inputs[i].chunk] += o.count
+			es.RawUpBytes += rawWireBytes(o.g)
+			es.DecodedBytes += int64(len(o.msg))
+		}
+	}
+	sum, degraded := 0, false
+	for c, t := range d.totals {
+		sum += t
+		degraded = degraded || t < cfg.Workers
+		if t != cfg.Workers && !cfg.tolerant() {
+			return fmt.Errorf("trainer: strict %s gather summed %d/%d gradients for chunk %d in round %d",
+				p.name, t, cfg.Workers, c, round)
+		}
+	}
+	if cfg.tolerant() {
+		want := cfg.Workers * p.chunks
+		quorum := max(1, int(math.Ceil(cfg.MinGatherFraction*float64(want))))
+		if sum < quorum {
 			return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d gradients aggregated (need %d)",
-				round, total, cfg.Workers, quorum)
+				round, sum, want, quorum)
 		}
-		for r := range outs {
-			if outs[r].g != nil {
-				strikes[r] = 0
+		for i := range d.outs {
+			if d.outs[i].g != nil {
+				d.strikes[i] = 0
 				continue
 			}
-			strikes[r]++
+			d.strikes[i]++
 			es.Strikes++
-			if strikes[r] >= cfg.MaxStrikes {
-				return fmt.Errorf("trainer: subtree root %d missed %d consecutive rounds (through round %d)",
-					r, strikes[r], round)
-			}
-		}
-		es.SkippedGrads += cfg.Workers - total
-		if total < cfg.Workers {
-			es.DegradedRounds++
-		}
-	}
-	for r := range outs {
-		if outs[r].g == nil {
-			continue
-		}
-		if err := acc.Add(outs[r].g, 1.0/float64(total)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gatherRingRound is the driver's gather for a ring round: each worker w
-// delivers the fully reduced chunk (w+1) mod W; every decoded chunk is
-// weighted by 1/count of that chunk, so key ranges whose reduction missed
-// some workers still apply an unbiased mean over the workers they did sum.
-// Quorum counts arrived chunks (each is 1/W of the key space); strikes
-// accrue per driver link like the star gather.
-func gatherRingRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
-	outs := make([]gatherOutcome, cfg.Workers)
-	if cfg.Workers == 1 {
-		outs[0] = gatherAgg(cfg, driverSide[0], 0, round, 0, &reuse[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(cfg.Workers)
-		for w := 0; w < cfg.Workers; w++ {
-			go func(w int, cfg Config) {
-				defer wg.Done()
-				outs[w] = gatherAgg(cfg, driverSide[w], w, round, (w+1)%cfg.Workers, &reuse[w])
-			}(w, cfg)
-		}
-		wg.Wait()
-	}
-	arrived := 0
-	degraded := false
-	for w := range outs {
-		*driverDecode += time.Duration(outs[w].decodeNs)
-		es.Timeouts += outs[w].timeouts
-		es.CorruptFrames += outs[w].corrupt
-		es.StaleFrames += outs[w].stale
-		if outs[w].g != nil {
-			arrived++
-			es.RawUpBytes += rawWireBytes(outs[w].g)
-			es.DecodedBytes += outs[w].bytes
-			if outs[w].count < cfg.Workers {
-				degraded = true
-			}
-		}
-	}
-	if !cfg.tolerant() {
-		for w := range outs {
-			if outs[w].err != nil {
-				return outs[w].err
-			}
-			if outs[w].count != cfg.Workers {
-				return fmt.Errorf("trainer: strict ring gather: chunk from worker %d summed %d/%d gradients in round %d",
-					w, outs[w].count, cfg.Workers, round)
-			}
-		}
-	} else {
-		quorum := int(math.Ceil(cfg.MinGatherFraction * float64(cfg.Workers)))
-		if quorum < 1 {
-			quorum = 1
-		}
-		if arrived < quorum {
-			return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d ring chunks arrived (need %d)",
-				round, arrived, cfg.Workers, quorum)
-		}
-		for w := range outs {
-			if outs[w].g != nil {
-				strikes[w] = 0
-				continue
-			}
-			strikes[w]++
-			es.Strikes++
-			if strikes[w] >= cfg.MaxStrikes {
+			if d.strikes[i] >= cfg.MaxStrikes {
 				return fmt.Errorf("trainer: worker %d missed %d consecutive rounds (through round %d)",
-					w, strikes[w], round)
+					p.inputs[i].link, d.strikes[i], round)
 			}
 		}
-		// A missing chunk skips 1/W of the key space — account it at chunk
-		// granularity, like a missing star gradient.
-		es.SkippedGrads += cfg.Workers - arrived
-		if arrived < cfg.Workers || degraded {
+		// Whole-gradient equivalents (a ring chunk is 1/chunks of a
+		// gradient), rounded up so a degraded round skips at least one.
+		es.SkippedGrads += (want - sum + p.chunks - 1) / p.chunks
+		if degraded {
 			es.DegradedRounds++
 		}
 	}
-	for w := range outs {
-		if outs[w].g == nil {
+	for i := range d.outs {
+		if d.outs[i].g == nil {
 			continue
 		}
-		if err := acc.Add(outs[w].g, 1.0/float64(outs[w].count)); err != nil {
+		if err := acc.Add(d.outs[i].g, 1.0/float64(d.totals[p.inputs[i].chunk])); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,8 @@ package trainer
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -217,16 +219,16 @@ func TestTreeGatherWeightsByCount(t *testing.T) {
 	const workers = 8
 	cfg, driverSide, workerSide, g, msg := treeHarness(t, workers)
 	// Root 0 reports a 5-gradient subtree, root 1 a 3-gradient subtree.
-	if err := workerSide[0].Send(appendAggFrame(nil, 0, 5, 0, msg)); err != nil {
+	if err := workerSide[0].Send(appendGatherFrame(nil, 0, 5, 0, msg)); err != nil {
 		t.Fatal(err)
 	}
-	if err := workerSide[1].Send(appendAggFrame(nil, 0, 3, 0, msg)); err != nil {
+	if err := workerSide[1].Send(appendGatherFrame(nil, 0, 3, 0, msg)); err != nil {
 		t.Fatal(err)
 	}
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherTreeRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, 2), acc, &es, &decode); err != nil {
+	if err := newGather(cfg).gather(cfg, 0, driverSide, acc, &es, &decode); err != nil {
 		t.Fatalf("clean tree gather: %v", err)
 	}
 	// Both messages decode to the same gradient; total = 8, so the
@@ -264,13 +266,13 @@ func TestTreeGatherSubtreeQuorumBoundary(t *testing.T) {
 		cfg, driverSide, workerSide, _, msg := treeHarness(t, 8)
 		cfg = tolerantCfg(cfg)
 		// Root 1's whole subtree misses the deadline; root 0 arrives alone.
-		if err := workerSide[0].Send(appendAggFrame(nil, 0, tc.count, 0, msg)); err != nil {
+		if err := workerSide[0].Send(appendGatherFrame(nil, 0, tc.count, 0, msg)); err != nil {
 			t.Fatal(err)
 		}
 		acc := gradient.NewAccumulator(gatherDim)
 		var es EpochStats
 		var decode time.Duration
-		err := gatherTreeRound(cfg, 0, driverSide, make([]int, 8), make([]gradient.Sparse, 2), acc, &es, &decode)
+		err := newGather(cfg).gather(cfg, 0, driverSide, acc, &es, &decode)
 		if tc.wantOK {
 			if err != nil {
 				t.Fatalf("count %d: gather aborted at quorum boundary: %v", tc.count, err)
@@ -288,16 +290,16 @@ func TestTreeGatherSubtreeQuorumBoundary(t *testing.T) {
 // rounds — a tree round whose counts do not sum to exactly W is an abort.
 func TestTreeGatherStrictRejectsPartialTotal(t *testing.T) {
 	cfg, driverSide, workerSide, _, msg := treeHarness(t, 4)
-	if err := workerSide[0].Send(appendAggFrame(nil, 0, 3, 0, msg)); err != nil {
+	if err := workerSide[0].Send(appendGatherFrame(nil, 0, 3, 0, msg)); err != nil {
 		t.Fatal(err)
 	}
-	if err := workerSide[1].Send(appendAggFrame(nil, 0, 2, 0, msg)); err != nil {
+	if err := workerSide[1].Send(appendGatherFrame(nil, 0, 2, 0, msg)); err != nil {
 		t.Fatal(err)
 	}
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherTreeRound(cfg, 0, driverSide, make([]int, 4), make([]gradient.Sparse, 2), acc, &es, &decode)
+	err := newGather(cfg).gather(cfg, 0, driverSide, acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "strict tree gather") {
 		t.Fatalf("want strict total mismatch abort, got %v", err)
 	}
@@ -325,14 +327,14 @@ func TestRingGatherPartialChunk(t *testing.T) {
 		if chunk == 2 {
 			count = 2 // chunk 2's reduction missed two workers
 		}
-		if err := workerSide[w].Send(appendAggFrame(nil, 0, count, chunk, msg)); err != nil {
+		if err := workerSide[w].Send(appendGatherFrame(nil, 0, count, chunk, msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	if err := gatherRingRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode); err != nil {
+	if err := newGather(cfg).gather(cfg, 0, driverSide, acc, &es, &decode); err != nil {
 		t.Fatalf("ring gather: %v", err)
 	}
 	if es.DegradedRounds != 1 {
@@ -369,24 +371,24 @@ func TestRingGatherQuorumCountsChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := workerSide[w].Send(appendAggFrame(nil, 0, workers, chunk, msg)); err != nil {
+		if err := workerSide[w].Send(appendGatherFrame(nil, 0, workers, chunk, msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	acc := gradient.NewAccumulator(gatherDim)
 	var es EpochStats
 	var decode time.Duration
-	err := gatherRingRound(cfg, 0, driverSide, make([]int, workers), make([]gradient.Sparse, workers), acc, &es, &decode)
+	err := newGather(cfg).gather(cfg, 0, driverSide, acc, &es, &decode)
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("want chunk-quorum abort, got %v", err)
 	}
 }
 
-// TestAggFrameRoundTrip covers the aggregate envelope itself, including the
+// TestAggFrameRoundTrip covers the gather envelope itself, including the
 // checksum interplay with parseFrame.
 func TestAggFrameRoundTrip(t *testing.T) {
 	msg := []byte{9, 8, 7, 6, 5}
-	frame := appendAggFrame(nil, 3, 5, 2, msg)
+	frame := appendGatherFrame(nil, 3, 5, 2, msg)
 	kind, round, payload, err := parseFrame(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +396,7 @@ func TestAggFrameRoundTrip(t *testing.T) {
 	if kind != frameAgg || round != 3 {
 		t.Fatalf("kind 0x%02x round %d, want frameAgg round 3", kind, round)
 	}
-	count, chunk, body, err := parseAggFrame(payload)
+	count, chunk, body, err := parseGatherPayload(kind, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +404,16 @@ func TestAggFrameRoundTrip(t *testing.T) {
 		t.Fatalf("count %d chunk %d body %v", count, chunk, body)
 	}
 	// Zero-count frames and truncated payloads must be parse failures.
-	if _, _, _, err := parseAggFrame(appendAggFrame(nil, 0, 0, 0, msg)[frameHeaderLen:]); err == nil {
+	if _, _, _, err := parseGatherPayload(frameAgg, appendGatherFrame(nil, 0, 0, 0, msg)[frameHeaderLen:]); err == nil {
 		t.Error("zero gradient count accepted")
 	}
-	if _, _, _, err := parseAggFrame([]byte{1, 0}); err == nil {
+	if _, _, _, err := parseGatherPayload(frameAgg, []byte{1, 0}); err == nil {
 		t.Error("truncated aggregate payload accepted")
+	}
+	// One gradient of chunk 0 — every star frame — keeps the plain gradient
+	// envelope, byte for byte.
+	if got, want := appendGatherFrame(nil, 3, 1, 0, msg), appendFrame(nil, frameGrad, 3, msg); string(got) != string(want) {
+		t.Errorf("single-gradient frame %v, want the frameGrad envelope %v", got, want)
 	}
 	// Any single corrupted byte must trip the frame checksum.
 	for i := range frame {
@@ -461,18 +468,122 @@ func TestTopologyConfigValidation(t *testing.T) {
 	}
 }
 
-// TestAggLevel pins the level map the per-level merge accounting keys on.
-func TestAggLevel(t *testing.T) {
-	wantTree := map[int]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 13: 2, 14: 3}
-	for w, want := range wantTree {
-		if got := aggLevel(cluster.TopologyTree, w); got != want {
-			t.Errorf("tree level(%d) = %d, want %d", w, got, want)
+// TestGatherPlan checks that every plan is well formed. Executed
+// symbolically over per-link FIFO queues, the plan must finish without a
+// deadlock, every receive must get the chunk its step expects, and every
+// worker's gradient must reach the driver exactly once per chunk — each
+// chunk's plan is a spanning tree rooted at the driver. Ring worker w must
+// end holding chunk (w+1) mod W, and the merge-accounting level must be
+// the tree depth floor(log2(w+2))-1.
+func TestGatherPlan(t *testing.T) {
+	type message struct {
+		chunk int
+		sums  []int // sums[v]: times worker v's gradient is summed in
+	}
+	for _, n := range []int{1, 2, 3, 4, 7, 8} {
+		for _, topo := range []cluster.Topology{cluster.TopologyStar, cluster.TopologyTree, cluster.TopologyRing} {
+			p := newGatherPlan(&Config{Workers: n, Topology: topo, RoundDeadline: time.Second})
+			if want := map[bool]int{true: n, false: 1}[topo == cluster.TopologyRing]; p.chunks != want {
+				t.Fatalf("W=%d %s: %d chunks, want %d", n, topo, p.chunks, want)
+			}
+			// holds[w][c] is worker w's running sum for chunk c.
+			holds := make([][][]int, n)
+			for w := range holds {
+				holds[w] = make([][]int, p.chunks)
+				for c := range holds[w] {
+					holds[w][c] = make([]int, n)
+					holds[w][c][w] = 1
+				}
+			}
+			queues := map[[2]int][]message{} // (from, to); to -1 is the driver
+			send := func(from, to, c int) {
+				k := [2]int{from, to}
+				queues[k] = append(queues[k], message{c, slices.Clone(holds[from][c])})
+			}
+			step, sent, done := make([]int, n), make([]bool, n), make([]bool, n)
+			for progress := true; progress; {
+				progress = false
+				for w := range p.workers {
+					wp := &p.workers[w]
+					for !done[w] {
+						if step[w] == len(wp.steps) {
+							send(w, wp.parent, wp.final)
+							done[w], progress = true, true
+							break
+						}
+						st := wp.steps[step[w]]
+						if st.send >= 0 && !sent[w] {
+							send(w, wp.next, st.send)
+							sent[w], progress = true, true
+						}
+						ready := true
+						for _, u := range wp.in {
+							ready = ready && len(queues[[2]int{u, w}]) > 0
+						}
+						if !ready {
+							break
+						}
+						for _, u := range wp.in {
+							k := [2]int{u, w}
+							m := queues[k][0]
+							queues[k] = queues[k][1:]
+							if m.chunk != st.recv {
+								t.Fatalf("W=%d %s: worker %d step %d got chunk %d from worker %d, want %d",
+									n, topo, w, step[w], m.chunk, u, st.recv)
+							}
+							for v, k := range m.sums {
+								holds[w][st.recv][v] += k
+							}
+						}
+						step[w], sent[w], progress = step[w]+1, false, true
+					}
+				}
+			}
+			got := make([][]int, p.chunks)
+			for c := range got {
+				got[c] = make([]int, n)
+			}
+			for w := range p.workers {
+				if !done[w] {
+					t.Fatalf("W=%d %s: worker %d deadlocked at step %d", n, topo, w, step[w])
+				}
+			}
+			for _, in := range p.inputs {
+				k := [2]int{in.link, -1}
+				if q := queues[k]; len(q) != 1 || q[0].chunk != in.chunk {
+					t.Fatalf("W=%d %s: driver link %d carries %v, want one message of chunk %d", n, topo, in.link, q, in.chunk)
+				}
+				for v, k := range queues[k][0].sums {
+					got[in.chunk][v] += k
+				}
+				delete(queues, k)
+			}
+			for c := range got {
+				for v, k := range got[c] {
+					if k != 1 {
+						t.Errorf("W=%d %s: worker %d's gradient reaches chunk %d %d times", n, topo, v, c, k)
+					}
+				}
+			}
+			for k, q := range queues {
+				if len(q) > 0 {
+					t.Errorf("W=%d %s: %d frames left undelivered on link %v", n, topo, len(q), k)
+				}
+			}
+			for w := range p.workers {
+				wantLevel := 0
+				switch topo {
+				case cluster.TopologyTree:
+					wantLevel = bits.Len(uint(w+2)) - 2
+				case cluster.TopologyRing:
+					if f := p.workers[w].final; f != (w+1)%n {
+						t.Errorf("W=%d ring: worker %d ends holding chunk %d, want %d", n, w, f, (w+1)%n)
+					}
+				}
+				if got := p.level(w); got != wantLevel {
+					t.Errorf("W=%d %s: level(%d) = %d, want %d", n, topo, w, got, wantLevel)
+				}
+			}
 		}
-	}
-	if got := aggLevel(cluster.TopologyRing, 5); got != 0 {
-		t.Errorf("ring level = %d, want 0", got)
-	}
-	if got := aggLevel(cluster.TopologyStar, 0); got != -1 {
-		t.Errorf("star level = %d, want -1", got)
 	}
 }

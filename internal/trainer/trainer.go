@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"sketchml/internal/cluster"
@@ -242,8 +241,9 @@ type Result struct {
 	LevelMergeNs []int64
 	// WorkerAggBytes[w] is the bytes worker w received over its
 	// aggregation links (tree child uplinks, ring in-edge) across the run —
-	// the per-link cost hierarchical gather adds to the workers. Nil for
-	// star runs.
+	// the per-link cost hierarchical gather adds to the workers. Nil when
+	// the gather plan wires no aggregation links (star, and trees of at most
+	// two workers).
 	WorkerAggBytes []int64
 
 	// SketchError is the continuously measured recovery error of the
@@ -502,12 +502,12 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 	// deterministic chaos schedule (aggregation links use indexes past the
 	// worker range so every link faults independently but reproducibly),
 	// and outageFor names the worker whose ChaosOutage window applies to
-	// this link (negative: none). Under a tree topology, worker w≥2's
-	// outage moves from its driver link to its tree uplink: an interior
-	// node dropping out should degrade its subtree's gather while its
-	// broadcasts keep flowing — per-subtree degradation, not whole-run.
+	// this link (negative: none). A worker whose gather sends go to a
+	// parent worker carries its outage on that uplink instead of its driver
+	// link (see buildAggLinks).
+	plan := newGatherPlan(&cfg)
 	outageOnDriverLink := func(w int) int {
-		if cfg.Topology == cluster.TopologyTree && w >= 2 {
+		if plan.workers[w].parent >= 0 {
 			return -1
 		}
 		return w
@@ -598,11 +598,10 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 			workerSide[w] = c
 		}
 	}
-	// Non-star topologies add worker↔worker aggregation links on top of the
-	// star driver links (which keep carrying broadcasts, reports, and
-	// control frames). Their chaos seeds are offset past the worker range so
-	// every link gets a distinct, reproducible fault schedule.
-	links, auxConns := buildAggLinks(&cfg, wrap, pDim)
+	// Tree and ring plans add worker→worker aggregation links on top of the
+	// driver links, which keep carrying broadcasts, reports, and control
+	// frames.
+	links, auxConns := buildAggLinks(&cfg, plan, wrap, pDim)
 	defer func() {
 		for _, c := range auxConns {
 			_ = c.Close()
@@ -671,7 +670,7 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		Workers:   cfg.Workers,
 		Topology:  cfg.Topology.String(),
 	}
-	if cfg.Topology != cluster.TopologyStar {
+	if len(auxConns) > 0 {
 		res.WorkerAggBytes = make([]int64, cfg.Workers)
 	}
 	var cumSimSeconds float64
@@ -679,13 +678,10 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 	driverCodecTime := make([]time.Duration, 0, cfg.Epochs)
 	tm := newTrainerMetrics(cfg.Metrics)
 	var errAcc errAccum
-	// strikes[w] counts worker w's consecutive missed rounds (tolerant mode
-	// only); any round with its gradient present resets it.
-	strikes := make([]int, cfg.Workers)
-	// decodeReuse[w] is worker w's persistent decode target (see
-	// gatherRound); aggScratch is the driver replica's. Allocated once, so
+	// gather holds the per-input strike ledger and decode targets;
+	// aggScratch is the driver replica's decode target. Allocated once, so
 	// every round after the first decodes into warm buffers.
-	decodeReuse := make([]gradient.Sparse, cfg.Workers)
+	gather := newDriverGather(plan)
 	var aggScratch gradient.Sparse
 	bcast := newBroadcaster(cfg.Workers)
 	var memBefore runtime.MemStats
@@ -714,24 +710,12 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 				return nil, err
 			}
 			// Gather worker gradients. Receives and decodes run concurrently
-			// across workers (Decode is stateless on every codec, including
-			// ErrorFeedback, whose residual lives on the encode side); the
-			// accumulator adds stay sequential in worker order so float
-			// summation is deterministic. DecodeTime must stay comparable to
-			// the serial path, so it sums the per-goroutine decode durations
-			// rather than wall time.
+			// across the plan's inputs (Decode is stateless on every codec,
+			// including ErrorFeedback, whose residual lives on the encode
+			// side); the accumulator adds stay sequential.
 			tGather := time.Now()
-			var gerr error
-			switch cfg.Topology {
-			case cluster.TopologyTree:
-				gerr = gatherTreeRound(cfg, globalRound, driverSide, strikes, decodeReuse, acc, &es, &driverDecode)
-			case cluster.TopologyRing:
-				gerr = gatherRingRound(cfg, globalRound, driverSide, strikes, decodeReuse, acc, &es, &driverDecode)
-			default:
-				gerr = gatherRound(cfg, globalRound, driverSide, strikes, decodeReuse, acc, &es, &driverDecode)
-			}
-			if gerr != nil {
-				return nil, gerr
+			if err := gather.gather(cfg, globalRound, driverSide, acc, &es, &driverDecode); err != nil {
+				return nil, err
 			}
 			agg := acc.Sum()
 			gatherDur := time.Since(tGather)
@@ -870,12 +854,11 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 		totalMerge += time.Duration(rep.mergeNs)
 		totalMerges += rep.merges
 		if rep.merges > 0 || rep.aggBytes > 0 {
-			if lvl := aggLevel(cfg.Topology, w); lvl >= 0 {
-				for len(res.LevelMergeNs) <= lvl {
-					res.LevelMergeNs = append(res.LevelMergeNs, 0)
-				}
-				res.LevelMergeNs[lvl] += rep.mergeNs
+			lvl := plan.level(w)
+			for len(res.LevelMergeNs) <= lvl {
+				res.LevelMergeNs = append(res.LevelMergeNs, 0)
 			}
+			res.LevelMergeNs[lvl] += rep.mergeNs
 		}
 		if res.WorkerAggBytes != nil {
 			res.WorkerAggBytes[w] = rep.aggBytes
@@ -938,191 +921,6 @@ func RunContext(ctx context.Context, cfg Config, train, test *dataset.Dataset) (
 	res.FinalAccuracy = last.Accuracy
 	res.SketchError = errAcc.summary()
 	return res, nil
-}
-
-// gatherOutcome is one worker's contribution to one gather round.
-type gatherOutcome struct {
-	g        *gradient.Sparse
-	count    int   // worker gradients summed into g (frameAgg count; 1 for star)
-	bytes    int64 // codec payload bytes decoded for g
-	decodeNs int64
-	timeouts int
-	corrupt  int
-	stale    int
-	err      error // fatal in strict mode; in tolerant mode just marks a miss
-}
-
-// recvGradient receives worker w's gradient for the given round. In strict
-// mode (no deadline) it blocks until a frame arrives and any anomaly is an
-// error. In tolerant mode it spends at most cfg.RoundDeadline: stale and
-// corrupt frames are counted, discarded, and the wait continues on the
-// remaining budget; deadline expiry or a dead link returns an empty outcome
-// (a miss), never an abort.
-//
-// dst is this worker's reusable decode target: the gradient is decoded
-// into it (codec.DecodeReuse) and the returned outcome's g aliases it, so
-// the steady-state gather allocates no gradients. The alias is only valid
-// until the worker's next receive.
-func recvGradient(cfg Config, conn cluster.Conn, w, round int, dst *gradient.Sparse) gatherOutcome {
-	var out gatherOutcome
-	var deadline time.Time
-	if cfg.tolerant() {
-		deadline = time.Now().Add(cfg.RoundDeadline)
-	}
-	for {
-		var budget time.Duration
-		if cfg.tolerant() {
-			budget = time.Until(deadline)
-			if budget <= 0 {
-				out.timeouts++
-				return out
-			}
-		}
-		msg, err := cluster.RecvWithTimeout(conn, budget)
-		if errors.Is(err, cluster.ErrTimeout) {
-			out.timeouts++
-			return out
-		}
-		if err != nil {
-			out.err = fmt.Errorf("trainer: recv from worker %d: %w", w, err)
-			return out
-		}
-		kind, tag, payload, err := parseFrame(msg)
-		if err != nil {
-			if !cfg.tolerant() {
-				out.err = fmt.Errorf("trainer: frame from worker %d: %w", w, err)
-				return out
-			}
-			out.corrupt++
-			continue
-		}
-		if kind != frameGrad || tag != round {
-			if !cfg.tolerant() {
-				out.err = fmt.Errorf("trainer: worker %d sent kind 0x%02x round %d during round %d",
-					w, kind, tag, round)
-				return out
-			}
-			out.stale++
-			continue
-		}
-		t0 := time.Now()
-		g, err := codec.DecodeReuse(cfg.Codec, payload, dst)
-		out.decodeNs += time.Since(t0).Nanoseconds()
-		if err != nil {
-			if !cfg.tolerant() {
-				out.err = fmt.Errorf("trainer: decode from worker %d: %w", w, err)
-				return out
-			}
-			out.corrupt++
-			continue
-		}
-		out.g = g
-		out.count = 1
-		out.bytes = int64(len(payload))
-		return out
-	}
-}
-
-// gatherRound receives and decodes one gradient per worker for the given
-// round, then folds the arrivals into acc. With W > 1 the receive+decode
-// pairs run on W goroutines; the single-worker case keeps the plain serial
-// path. The decode meter accumulates the sum of per-goroutine decode
-// durations, not wall time, so DecodeTime reports the same CPU cost at any
-// parallelism. Accumulator adds always happen sequentially in worker order,
-// keeping the float summation (and thus training) deterministic.
-//
-// reuse holds one persistent decode target per worker: worker w's gradient
-// is decoded into reuse[w] every round, so after warm-up the gather
-// allocates nothing per round beyond the bookkeeping slices below.
-//
-// Strict mode (RoundDeadline == 0) requires all W gradients and any fault
-// aborts. Tolerant mode aggregates whatever arrived by the deadline,
-// weighting each of the m arrivals 1/m so the aggregate stays an unbiased
-// mean; it aborts only on quorum loss (fewer than
-// ceil(MinGatherFraction·W) arrivals) or when one worker reaches MaxStrikes
-// consecutive misses.
-//
-//sketchlint:hotpath
-func gatherRound(cfg Config, round int, driverSide []*cluster.CountingConn, strikes []int, reuse []gradient.Sparse, acc *gradient.Accumulator, es *EpochStats, driverDecode *time.Duration) error {
-	//lint:allow hotpath-alloc one O(workers) slice per round, not per byte; a round moves megabytes
-	outs := make([]gatherOutcome, cfg.Workers)
-	if cfg.Workers == 1 {
-		//lint:allow hotpath-alloc recvGradient allocates only on fault paths (decode error, strict-mode abort); the clean-path receive is allocation-free
-		outs[0] = recvGradient(cfg, driverSide[0], 0, round, &reuse[0])
-	} else {
-		//lint:allow escape-oracle the WaitGroup is shared with W goroutines so it must live on the heap; one per round, not per byte
-		var wg sync.WaitGroup
-		wg.Add(cfg.Workers)
-		for w := 0; w < cfg.Workers; w++ {
-			// cfg travels as a goroutine argument (copied onto the new
-			// goroutine's stack): captured, the >128-byte struct would be
-			// moved to the heap by reference once per round.
-			//lint:allow hotpath-alloc one goroutine closure per worker per round; the fan-out is the parallel-decode design
-			go func(w int, cfg Config) {
-				defer wg.Done()
-				outs[w] = recvGradient(cfg, driverSide[w], w, round, &reuse[w])
-			}(w, cfg)
-		}
-		wg.Wait()
-	}
-	arrived := 0
-	for w := range outs {
-		*driverDecode += time.Duration(outs[w].decodeNs)
-		es.Timeouts += outs[w].timeouts
-		es.CorruptFrames += outs[w].corrupt
-		es.StaleFrames += outs[w].stale
-		if outs[w].g != nil {
-			arrived++
-			es.RawUpBytes += rawWireBytes(outs[w].g)
-			es.DecodedBytes += outs[w].bytes
-		}
-	}
-	if !cfg.tolerant() {
-		for w := range outs {
-			if outs[w].err != nil {
-				return outs[w].err
-			}
-		}
-		for w := range outs {
-			if err := acc.Add(outs[w].g, 1.0/float64(cfg.Workers)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	quorum := int(math.Ceil(cfg.MinGatherFraction * float64(cfg.Workers)))
-	if quorum < 1 {
-		quorum = 1
-	}
-	if arrived < quorum {
-		return fmt.Errorf("trainer: round %d: quorum lost, only %d/%d gradients arrived (need %d)",
-			round, arrived, cfg.Workers, quorum)
-	}
-	for w := range outs {
-		if outs[w].g != nil {
-			strikes[w] = 0
-			continue
-		}
-		es.SkippedGrads++
-		strikes[w]++
-		es.Strikes++
-		if strikes[w] >= cfg.MaxStrikes {
-			return fmt.Errorf("trainer: worker %d missed %d consecutive rounds (through round %d)",
-				w, strikes[w], round)
-		}
-	}
-	if arrived < cfg.Workers {
-		es.DegradedRounds++
-	}
-	for w := range outs {
-		if outs[w].g == nil {
-			continue
-		}
-		if err := acc.Add(outs[w].g, 1.0/float64(arrived)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // broadcastQueueCap bounds the per-worker backlog of broadcast frames kept
@@ -1257,12 +1055,9 @@ func runWorker(cfg Config, shard *dataset.Dataset, conn cluster.Conn, links *wor
 	for r := 0; r < startRound; r++ {
 		buf = batcher.Next(buf)
 	}
-	// sendBuf and aggScratch are the worker's reusable frame and decode
-	// buffers: after warm-up the steady-state round neither allocates the
-	// outbound envelope nor a fresh aggregate (every transport is done with
-	// sendBuf when Send returns, and the decoded aggregate is consumed
-	// within the round).
-	var sendBuf []byte
+	// aggScratch is the worker's reusable decode target: after warm-up the
+	// steady-state round decodes the aggregate into warm buffers (it is
+	// consumed within the round). The outbound frame buffer lives in links.
 	var aggScratch gradient.Sparse
 	// misses counts consecutive broadcast waits that expired; it is the
 	// worker-side liveness bound (the driver may legitimately go quiet for
@@ -1276,26 +1071,8 @@ func runWorker(cfg Config, shard *dataset.Dataset, conn cluster.Conn, links *wor
 		rep.lossSum += loss
 		rep.rounds++
 
-		switch links.topo {
-		case cluster.TopologyTree:
-			if err := treeGatherStep(cfg, links, conn, g, round, &rep); err != nil {
-				return err
-			}
-		case cluster.TopologyRing:
-			if err := ringReduceStep(cfg, links, conn, g, round, &rep); err != nil {
-				return err
-			}
-		default:
-			t0 = time.Now()
-			msg, err := cfg.Codec.Encode(g)
-			rep.encodeNs += time.Since(t0).Nanoseconds()
-			if err != nil {
-				return fmt.Errorf("trainer: worker encode: %w", err)
-			}
-			sendBuf = appendFrame(sendBuf[:0], frameGrad, round, msg)
-			if err := conn.Send(sendBuf); err != nil {
-				return fmt.Errorf("trainer: worker send: %w", err)
-			}
+		if err := links.gather(cfg, conn, g, round, &rep); err != nil {
+			return err
 		}
 
 		// Wait for the aggregate. The worker never free-runs: it advances
